@@ -11,10 +11,11 @@
 //!
 //! Every scenario row records the engine's deterministic counters
 //! (events, arrivals, departures, epochs, peak/final concurrency,
-//! recomputed vs reused flows) plus the FNV-1a rate checksum of the
-//! final flushed allocation; `bench_compare` treats those as exact and
-//! only the wall-derived metrics (`wall_ms`, `events_per_sec`) as
-//! noisy. `--stable` zeroes the wall-derived metrics so the report is
+//! recomputed flows and paths — their ratio is the mean number of flows
+//! sharing a path — and the always-zero reused flows) plus the FNV-1a
+//! rate checksum of the final flushed allocation; `bench_compare`
+//! treats those as exact and only the wall-derived metrics (`wall_ms`,
+//! `events_per_sec`) as noisy. `--stable` zeroes the wall-derived metrics so the report is
 //! byte-reproducible for baseline refreshes.
 //!
 //! `--epochs-out PATH` additionally publishes the rate epochs: at every
@@ -305,6 +306,10 @@ fn run() -> Result<(), String> {
             (
                 "recomputed_flows".to_string(),
                 JsonValue::from(m.stats.recomputed_flows),
+            ),
+            (
+                "recomputed_paths".to_string(),
+                JsonValue::from(m.stats.recomputed_paths),
             ),
             (
                 "reused_flows".to_string(),

@@ -463,6 +463,7 @@ impl Comparison {
                 "peak_concurrent",
                 "final_live",
                 "recomputed_flows",
+                "recomputed_paths",
                 "reused_flows",
                 "rate_checksum",
             ] {
@@ -712,7 +713,7 @@ mod tests {
                 "scenarios":[{{"scenario":"c4","n":4,"policy":"greedy","batch":2048,
                   "events":400000,"arrivals":255863,"departures":144137,"epochs":196,
                   "peak_concurrent":111731,"final_live":111726,
-                  "recomputed_flows":15368018,"reused_flows":0,
+                  "recomputed_flows":15368018,"recomputed_paths":795923,"reused_flows":0,
                   "rate_checksum":"{checksum}","wall_ms":{wall_ms},
                   "events_per_sec":{rate}}}]}}"#
         ))

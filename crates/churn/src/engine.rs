@@ -1,50 +1,71 @@
-//! The incremental churn engine.
+//! The churn engine.
 //!
 //! [`ChurnEngine`] maintains the max-min fair allocation of a
 //! multi-stage fabric (any [`Fabric`], a Clos network by default) under
 //! online flow churn. Each [`FlowEvent`] routes (on arrival, via an
 //! [`OnlinePolicy`] choosing among the fabric's routing classes) or
-//! removes one flow and marks the links the flow crosses *dirty*; after
-//! a configurable batch of events an *epoch* recomputes rates — but
-//! only for the *dirty region*, the connected component(s) of the
-//! flow↔link incidence graph reachable from a dirty link. Flows outside
-//! the region kept their membership lists and link loads unchanged, so
-//! their rates are provably unaffected and are reused verbatim.
+//! removes one flow; after a configurable batch of events an *epoch*
+//! ([`flush`]) recomputes and publishes every live rate.
 //!
-//! # Bit-identical incrementality
+//! # Path classes
 //!
-//! Water-filling decomposes over connected components: rounds in one
-//! component never influence another (the fill level of a link depends
-//! only on its own members and frozen load). The epoch recompute runs
-//! [`WaterfillInstance::compile_subset`] over the region's links —
-//! which preserves network link order, hence freezing order and
-//! bottleneck scan order — so the recomputed rates and bottlenecks are
-//! **bit-identical** (in both exact-rational and `TotalF64` modes) to
-//! a fresh full run over the live set, and the engine's
-//! [`levels`](ChurnEngine::levels) equal the fresh run's up to the
-//! sorted-dedup normalization described on that method. The `verify` flag of [`ChurnConfig`] asserts
-//! exactly that against a full-recompute oracle after every epoch, and
-//! the `incremental_oracle` proptest suite pins it over random traces.
+//! An unsplittable flow's links are fixed by its endpoints and its
+//! routing class, so the engine interns each (source, destination,
+//! class) triple into a *path* at apply time, and a flow's slot records
+//! only its path id. A path carries a live multiplicity: the number of
+//! live flows on it. A fabric has far fewer paths than a busy trace has
+//! live flows (C_4 has 32 × 32 × 4 = 4,096 paths against ~10⁵ live
+//! flows), so an epoch hands the waterfill one entry per live path,
+//! weighted by its multiplicity ([`WaterfillScratch::push_flows`]), and
+//! writes each result back once per path.
 //!
-//! Because routing, slot assignment, and link bookkeeping all happen at
+//! # Bit-identical to a per-flow recompute
+//!
+//! Flows on one path cross exactly the same links, so water-filling
+//! cannot tell them apart: they freeze in the same round, on the same
+//! first saturating link, at the same level. The multiplicity-aware run
+//! still adds that level to each link's frozen load once per flow, and
+//! all adds of a round are equal, so its arithmetic is the arithmetic of
+//! a per-flow run. Rates and bottlenecks are therefore **bit-identical**
+//! (in both exact-rational and `TotalF64` modes) to a fresh full run over
+//! the live flows, whatever the order of the live-path list, and the
+//! engine's [`levels`](ChurnEngine::levels) equal the fresh run's up to
+//! the sorted-dedup normalization described on that method. The `verify`
+//! flag of [`ChurnConfig`] asserts exactly that against a per-flow
+//! full-recompute oracle after every epoch, and the `incremental_oracle`
+//! and `failure_oracle` proptest suites pin it over random traces.
+//!
+//! # Publication
+//!
+//! Accessors report the allocation as of the last flush. A flow that
+//! arrived since then reads rate zero (and the first link of its path as
+//! its bottleneck); a flow rerouted since then keeps the rate and
+//! bottleneck of the path it was on at the last flush. Each slot
+//! therefore records the path it reports next to its current path, and a
+//! flush refreshes only the slots touched since the previous flush.
+//!
+//! Because routing, slot assignment, and path bookkeeping all happen at
 //! *apply* time (they are pure functions of the event prefix), the
 //! engine's state after `apply`ing a prefix and [`flush`]ing is
 //! independent of the batch size — two engines fed the same trace with
 //! different batches agree byte-for-byte at every common flushed
 //! checkpoint (CI byte-diffs published epochs at two batch sizes).
 //!
-//! Nothing here assumes the Clos shape: paths may have any length up to
-//! [`Fabric::max_path_len`] (slot link/position tables are flat arrays
-//! with that stride), and congestion bookkeeping is a live-flow count
-//! per dense link rather than per (ToR, middle) pair. On a Clos fabric
-//! the interior of a path is exactly its uplink and downlink, so the
+//! Nothing here assumes the Clos shape: paths may have any length (the
+//! path table keeps every path's links in one flat array), and
+//! congestion bookkeeping is a live-flow count per dense link rather
+//! than per (ToR, middle) pair. On a Clos fabric the
+//! interior of a path is exactly its uplink and downlink, so the
 //! per-class load maxima the policy sees — and hence every placement —
 //! are identical to the historical ToR-sharded matrices.
 //!
 //! [`flush`]: ChurnEngine::flush
 
+use std::collections::BTreeMap;
+use std::ops::Range;
+
 use clos_fairness::{WaterfillInstance, WaterfillScratch};
-use clos_net::{CapacityMap, ClosNetwork, Fabric, Flow, LinkId};
+use clos_net::{CapacityMap, ClosNetwork, Fabric, Flow, LinkId, NodeId};
 use clos_rational::{Rational, Scalar};
 use clos_telemetry::{counters, timers};
 
@@ -54,13 +75,15 @@ use crate::reroute::{LocalReroute, RerouteOutcome};
 
 /// Sentinel in the key→slot table: the key has no live flow.
 const NO_SLOT: u32 = u32::MAX;
+/// Sentinel path id of a free slot.
+const NO_PATH: u32 = u32::MAX;
 
 /// Engine configuration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ChurnConfig {
     /// Events buffered between recompute epochs; must be at least 1.
-    /// Larger batches amortize region recomputation over more events at
-    /// the cost of staler published rates.
+    /// Larger batches amortize recomputation over more events at the
+    /// cost of staler published rates.
     pub batch: usize,
     /// When set, every epoch is checked against a full-recompute oracle
     /// (rates, bottlenecks, and levels must match bit for bit). Orders
@@ -83,11 +106,18 @@ impl Default for ChurnConfig {
 pub struct RecomputeStats {
     /// Recompute epochs run.
     pub epochs: u64,
-    /// Dirty links across all epochs (before closure).
+    /// Links whose flow set or capacity changed between epochs, summed
+    /// over epochs (informational: every epoch recomputes every live
+    /// path regardless).
     pub dirty_links: u64,
-    /// Live flows recomputed by epochs (inside dirty regions).
+    /// Live flows recomputed by epochs (every live flow, every epoch).
     pub recomputed_flows: u64,
-    /// Live flows whose cached rates epochs reused.
+    /// Live paths recomputed by epochs, one waterfill entry each;
+    /// `recomputed_flows / recomputed_paths` is the mean number of flows
+    /// sharing a path.
+    pub recomputed_paths: u64,
+    /// Always 0: epochs recompute every live path and reuse no cached
+    /// rate. Kept so reports that read it stay comparable.
     pub reused_flows: u64,
     /// Events applied.
     pub events: u64,
@@ -107,27 +137,41 @@ pub struct RecomputeStats {
     pub reroute_dead_ends: u64,
 }
 
-/// One flow's bookkeeping (slots are reused through a free list after
-/// the flow departs). The flow's dense link indices and member-list
-/// positions live in the engine's flat `slot_links`/`slot_pos` tables
-/// at `slot * stride`, with `len` entries used.
+/// One interned path: a source/destination pair routed via one class.
+/// Every live flow on it crosses the same links, so they share one
+/// waterfill entry and one published allocation.
 #[derive(Clone, Debug)]
-struct Slot<S> {
-    key: FlowKey,
+struct PathClass<S> {
     flow: Flow,
-    /// Chosen routing class (on Clos, the middle-switch index).
+    /// Routing class (on Clos, the middle-switch index).
     class: u32,
-    /// Number of links on the flow's current path.
-    len: u32,
-    /// Cached max-min rate as of the last epoch covering this flow.
+    /// `path_links[start..end]` are the path's dense links.
+    start: u32,
+    end: u32,
+    /// Live flows on the path.
+    live: u32,
+    /// Position in the live-path list while `live > 0`.
+    live_pos: u32,
+    /// Max-min rate of each of its flows as of the last flush.
     rate: S,
-    /// Bottleneck link (full-instance dense index) as of that epoch.
+    /// Bottleneck link (dense index) as of the last flush.
     bottleneck: u32,
-    live: bool,
 }
 
-/// Event-driven incremental max-min allocation over a multi-stage
-/// fabric (see the module docs for the algorithm and its guarantees).
+/// One flow's bookkeeping (slots are reused through a free list after
+/// the flow departs).
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    key: FlowKey,
+    /// Current path, or `NO_PATH` while the slot is free.
+    path: u32,
+    /// The path whose published allocation the flow reports (its path
+    /// at the last flush), or `NO_PATH` if it arrived since.
+    shown: u32,
+}
+
+/// Event-driven max-min allocation over a multi-stage fabric (see the
+/// module docs for the algorithm and its guarantees).
 ///
 /// # Examples
 ///
@@ -158,45 +202,39 @@ pub struct ChurnEngine<S, F: Fabric = ClosNetwork> {
     cfg: ChurnConfig,
     capacity: Rational,
     classes: usize,
-    /// Per-slot stride of the flat link/position tables, equal to the
-    /// fabric's [`max_path_len`](Fabric::max_path_len).
-    stride: usize,
 
-    slots: Vec<Slot<S>>,
-    /// Dense link indices per slot, `stride` entries each (the first
-    /// `len` are meaningful).
-    slot_links: Vec<u32>,
-    /// This slot's position inside each link's member list, parallel to
-    /// `slot_links`.
-    slot_pos: Vec<u32>,
+    /// Endpoint pair → id of its first path; the pair's `classes` paths
+    /// take consecutive ids in class order.
+    path_of: BTreeMap<(NodeId, NodeId), u32>,
+    paths: Vec<PathClass<S>>,
+    /// Dense link indices of every path, concatenated.
+    path_links: Vec<usize>,
+    /// Ids of the paths with live flows (order maintained by
+    /// swap-remove, deterministic in the event prefix).
+    live_paths: Vec<u32>,
+
+    slots: Vec<Slot>,
     free: Vec<u32>,
     /// Key → slot index (keys are dense, see [`FlowKey`]); `NO_SLOT`
     /// marks keys that never arrived or already departed.
     slot_of_key: Vec<u32>,
-    /// Per dense link: member slot indices (order maintained by
-    /// swap-remove, deterministic in the event prefix).
-    members: Vec<Vec<u32>>,
+    /// Slots that arrived or moved since the last flush.
+    touched: Vec<u32>,
     /// Live-flow count per dense link (every link of a live flow's
     /// path counts; the policy reads interior links only).
     live_count: Vec<u32>,
     live: usize,
 
+    /// Links changed since the last flush; a flush with none is a no-op.
     dirty: Vec<bool>,
     dirty_list: Vec<usize>,
     pending: usize,
 
     scratch: WaterfillScratch<S>,
     oracle_scratch: WaterfillScratch<S>,
-
     // Apply-time work buffers, reused across events.
     path_buf: Vec<LinkId>,
     class_loads: Vec<u32>,
-    // Epoch work buffers, reused across epochs.
-    flow_links: Vec<usize>,
-    slot_mark: Vec<bool>,
-    affected: Vec<u32>,
-    link_stack: Vec<usize>,
-    region: Vec<LinkId>,
 
     stats: RecomputeStats,
 }
@@ -215,16 +253,17 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         ChurnEngine {
             capacity: fabric.nominal_capacity(),
             classes: fabric.class_count(),
-            stride: fabric.max_path_len(),
             instance,
             policy,
             cfg,
+            path_of: BTreeMap::new(),
+            paths: Vec::new(),
+            path_links: Vec::new(),
+            live_paths: Vec::new(),
             slots: Vec::new(),
-            slot_links: Vec::new(),
-            slot_pos: Vec::new(),
             free: Vec::new(),
             slot_of_key: Vec::new(),
-            members: vec![Vec::new(); links],
+            touched: Vec::new(),
             live_count: vec![0; links],
             live: 0,
             dirty: vec![false; links],
@@ -234,11 +273,6 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             oracle_scratch: WaterfillScratch::new(),
             path_buf: Vec::new(),
             class_loads: Vec::new(),
-            flow_links: Vec::new(),
-            slot_mark: Vec::new(),
-            affected: Vec::new(),
-            link_stack: Vec::new(),
-            region: Vec::new(),
             stats: RecomputeStats::default(),
             fabric,
         }
@@ -265,64 +299,94 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         }
     }
 
-    /// Dense waterfill index of `link`.
-    fn dense(&self, link: LinkId) -> usize {
-        let Some(d) = self.instance.dense_index(link) else {
-            unreachable!("fabric links are finite")
-        };
-        d
+    /// Range of `path`'s dense links in `path_links`.
+    fn span(&self, path: u32) -> Range<usize> {
+        let p = &self.paths[path as usize];
+        p.start as usize..p.end as usize
     }
 
-    /// Maximum live-flow count over the interior links of the path,
-    /// the congestion the policy compares across classes. (Host access
+    /// Dense link indices of `path`.
+    fn links_of(&self, path: u32) -> &[usize] {
+        &self.path_links[self.span(path)]
+    }
+
+    /// Id of the first of `flow`'s paths (one per routing class, at
+    /// consecutive ids), interning them on the pair's first arrival.
+    fn intern(&mut self, flow: Flow) -> u32 {
+        if let Some(&first) = self.path_of.get(&(flow.src(), flow.dst())) {
+            return first;
+        }
+        let first = self.paths.len() as u32;
+        for class in 0..self.classes {
+            self.path_buf.clear();
+            self.fabric
+                .append_links_via(flow, class, &mut self.path_buf);
+            debug_assert!(!self.path_buf.is_empty(), "paths cross links");
+            let start = self.path_links.len() as u32;
+            for &link in &self.path_buf {
+                let Some(d) = self.instance.dense_index(link) else {
+                    unreachable!("fabric links are finite")
+                };
+                self.path_links.push(d);
+            }
+            self.paths.push(PathClass {
+                flow,
+                class: class as u32,
+                start,
+                end: self.path_links.len() as u32,
+                live: 0,
+                live_pos: 0,
+                rate: S::zero(),
+                bottleneck: 0,
+            });
+        }
+        self.path_of.insert((flow.src(), flow.dst()), first);
+        first
+    }
+
+    /// Maximum live-flow count over the interior links of `path`, the
+    /// congestion the policy compares across classes. (Host access
     /// links are class-independent, so they cancel; a degenerate path
     /// with no interior reads all of its links.)
-    fn interior_load(&self, len: usize) -> u32 {
-        let span = if len >= 3 { 1..len - 1 } else { 0..len };
-        let mut load = 0u32;
-        for i in span {
-            let d = self.dense(self.path_buf[i]);
-            load = load.max(self.live_count[d]);
+    fn interior_load(&self, path: u32) -> u32 {
+        self.interior(path)
+            .iter()
+            .map(|&d| self.live_count[d])
+            .fold(0, u32::max)
+    }
+
+    /// The interior links of `path` (all of them if it has fewer than
+    /// three).
+    fn interior(&self, path: u32) -> &[usize] {
+        let links = self.links_of(path);
+        let len = links.len();
+        if len >= 3 {
+            &links[1..len - 1]
+        } else {
+            links
         }
-        load
     }
 
     fn arrive(&mut self, key: FlowKey, flow: Flow) {
         counters::CHURN_ARRIVALS.incr();
         self.stats.arrivals += 1;
+        let first = self.intern(flow);
         self.class_loads.clear();
         for class in 0..self.classes {
-            self.path_buf.clear();
-            self.fabric
-                .append_links_via(flow, class, &mut self.path_buf);
-            let load = self.interior_load(self.path_buf.len());
+            let load = self.interior_load(first + class as u32);
             self.class_loads.push(load);
         }
         let class = self.policy.pick_class(&self.class_loads, self.capacity);
-
-        self.path_buf.clear();
-        self.fabric
-            .append_links_via(flow, class, &mut self.path_buf);
-        let len = self.path_buf.len();
-        debug_assert!(
-            len >= 1 && len <= self.stride,
-            "path length within the fabric's declared bound"
-        );
+        let path = first + class as u32;
 
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
                 self.slots.push(Slot {
                     key: 0,
-                    flow,
-                    class: 0,
-                    len: 0,
-                    rate: S::zero(),
-                    bottleneck: 0,
-                    live: false,
+                    path: NO_PATH,
+                    shown: NO_PATH,
                 });
-                self.slot_links.resize(self.slots.len() * self.stride, 0);
-                self.slot_pos.resize(self.slots.len() * self.stride, 0);
                 (self.slots.len() - 1) as u32
             }
         };
@@ -337,33 +401,49 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         );
         self.slot_of_key[ki] = slot;
 
-        self.link_current_path(slot);
-
-        let base = slot as usize * self.stride;
-        let s = &mut self.slots[slot as usize];
-        s.key = key;
-        s.flow = flow;
-        s.class = class as u32;
-        s.len = len as u32;
-        s.rate = S::zero();
-        s.bottleneck = self.slot_links[base];
-        s.live = true;
+        self.slots[slot as usize] = Slot {
+            key,
+            path,
+            shown: NO_PATH,
+        };
+        self.join(path);
+        self.touched.push(slot);
         self.live += 1;
         self.stats.peak_live = self.stats.peak_live.max(self.live as u64);
     }
 
-    /// Pushes `slot` onto the member list of every link in `path_buf`
-    /// (recording dense indices and positions in the flat tables),
-    /// bumps live counts, and marks the links dirty.
-    fn link_current_path(&mut self, slot: u32) {
-        let base = slot as usize * self.stride;
-        for i in 0..self.path_buf.len() {
-            let d = self.dense(self.path_buf[i]);
-            self.slot_links[base + i] = d as u32;
-            let p = self.members[d].len() as u32;
-            self.members[d].push(slot);
-            self.slot_pos[base + i] = p;
+    /// Adds one live flow to `path`: bumps its multiplicity (listing it
+    /// live on the first), the live counts of its links, and marks those
+    /// links dirty.
+    fn join(&mut self, path: u32) {
+        let p = &mut self.paths[path as usize];
+        if p.live == 0 {
+            p.live_pos = self.live_paths.len() as u32;
+            self.live_paths.push(path);
+        }
+        p.live += 1;
+        for i in self.span(path) {
+            let d = self.path_links[i];
             self.live_count[d] += 1;
+            self.mark_dirty(d);
+        }
+    }
+
+    /// Removes one live flow from `path`, the inverse of [`Self::join`]
+    /// (swap-removing the path from the live list on its last flow).
+    fn leave(&mut self, path: u32) {
+        let p = &mut self.paths[path as usize];
+        p.live -= 1;
+        if p.live == 0 {
+            let pos = p.live_pos as usize;
+            self.live_paths.swap_remove(pos);
+            if let Some(&moved) = self.live_paths.get(pos) {
+                self.paths[moved as usize].live_pos = pos as u32;
+            }
+        }
+        for i in self.span(path) {
+            let d = self.path_links[i];
+            self.live_count[d] -= 1;
             self.mark_dirty(d);
         }
     }
@@ -378,44 +458,10 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         };
         self.slot_of_key[ki] = NO_SLOT;
 
-        self.unlink_slot(slot);
-
-        self.slots[slot as usize].live = false;
+        self.leave(self.slots[slot as usize].path);
+        self.slots[slot as usize].path = NO_PATH;
         self.free.push(slot);
         self.live -= 1;
-    }
-
-    /// Removes `slot` from the member list of each link it crosses
-    /// (swap-remove with position fixup), drops its live counts, and
-    /// marks those links dirty.
-    fn unlink_slot(&mut self, slot: u32) {
-        let base = slot as usize * self.stride;
-        let len = self.slots[slot as usize].len as usize;
-        for i in 0..len {
-            let d = self.slot_links[base + i] as usize;
-            let p = self.slot_pos[base + i] as usize;
-            self.live_count[d] -= 1;
-            let list = &mut self.members[d];
-            let Some(last) = list.pop() else {
-                unreachable!("member list of a live flow's link cannot be empty")
-            };
-            if p < list.len() {
-                // Swap-remove: the tail slot moves into `p`; fix its
-                // recorded position for this link (a path never repeats
-                // a link, so `d` appears once in the moved slot).
-                list[p] = last;
-                let mbase = last as usize * self.stride;
-                let mlen = self.slots[last as usize].len as usize;
-                for j in 0..mlen {
-                    if self.slot_links[mbase + j] as usize == d {
-                        self.slot_pos[mbase + j] = p as u32;
-                    }
-                }
-            } else {
-                debug_assert_eq!(last, slot, "position table out of sync");
-            }
-            self.mark_dirty(d);
-        }
     }
 
     fn mark_dirty(&mut self, dense: usize) {
@@ -425,8 +471,9 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         }
     }
 
-    /// Runs a recompute epoch over the accumulated dirty region (a
-    /// no-op when no links are dirty) and resets the batch window.
+    /// Runs a recompute epoch — one waterfill over the live paths, each
+    /// weighted by its live multiplicity — and resets the batch window.
+    /// A no-op when nothing changed since the last flush.
     ///
     /// Rates published by [`rate`](Self::rate)/[`checksum`] are exact
     /// as of the last flush; callers comparing engines across batch
@@ -444,94 +491,38 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         counters::CHURN_DIRTY_LINKS.add(self.dirty_list.len() as u64);
         self.stats.epochs += 1;
         self.stats.dirty_links += self.dirty_list.len() as u64;
-
-        // Close the dirty links under flow↔link incidence: every flow on
-        // a region link joins the region along with all of its links, so
-        // the region covers whole connected components and a subset run
-        // over it is exact (see the module docs).
-        self.slot_mark.resize(self.slots.len(), false);
-        self.affected.clear();
-        self.link_stack.clear();
-        self.link_stack.extend_from_slice(&self.dirty_list);
-        while let Some(d) = self.link_stack.pop() {
-            for idx in 0..self.members[d].len() {
-                let slot = self.members[d][idx];
-                if self.slot_mark[slot as usize] {
-                    continue;
-                }
-                self.slot_mark[slot as usize] = true;
-                self.affected.push(slot);
-                let base = slot as usize * self.stride;
-                let plen = self.slots[slot as usize].len as usize;
-                for j in 0..plen {
-                    let l = self.slot_links[base + j] as usize;
-                    if !self.dirty[l] {
-                        self.dirty[l] = true;
-                        // A zero-capacity (failed) link joins the
-                        // region — its members' links must resolve in
-                        // the subset compile — but does not propagate:
-                        // it pins every member at rate zero, so the
-                        // components it bridges are independent beyond
-                        // it. Seeds from `dirty_list` still expand
-                        // unconditionally, which is exactly what
-                        // recomputes a dying link's members to zero in
-                        // the epoch after `apply_failure`.
-                        if !self.instance.capacity(l).is_zero() {
-                            self.link_stack.push(l);
-                        }
-                    }
-                }
-            }
-        }
-        // Region links in dense (= network) order, for the subset
-        // compile; `dirty` currently marks exactly the region.
-        self.region.clear();
-        for d in 0..self.instance.link_count() {
-            if self.dirty[d] {
-                self.region.push(self.instance.link_id(d));
-                self.dirty[d] = false;
-            }
+        for &d in &self.dirty_list {
+            self.dirty[d] = false;
         }
         self.dirty_list.clear();
-        // Recompute affected flows in ascending slot order — the same
-        // relative order a full run over all live slots would use.
-        self.affected.sort_unstable();
 
-        let sub = WaterfillInstance::<S>::compile_subset(self.fabric.network(), &self.region);
         self.scratch.begin();
-        for idx in 0..self.affected.len() {
-            let slot = self.affected[idx] as usize;
-            self.slot_mark[slot] = false;
-            let base = slot * self.stride;
-            let plen = self.slots[slot].len as usize;
-            self.flow_links.clear();
-            for j in 0..plen {
-                let d = self.slot_links[base + j] as usize;
-                let Some(sd) = sub.dense_index(self.instance.link_id(d)) else {
-                    unreachable!("region is closed under incidence")
-                };
-                self.flow_links.push(sd);
-            }
-            self.scratch.push_flow(&self.flow_links);
+        for &path in &self.live_paths {
+            let p = &self.paths[path as usize];
+            self.scratch.push_flows(
+                &self.path_links[p.start as usize..p.end as usize],
+                p.live as usize,
+            );
         }
-        sub.run(&mut self.scratch);
-
+        self.instance.run(&mut self.scratch);
         let rates = self.scratch.rates();
         let bottlenecks = self.scratch.bottlenecks();
-        for (i, &slot) in self.affected.iter().enumerate() {
-            let s = &mut self.slots[slot as usize];
-            s.rate = rates[i];
-            let Some(full) = self.instance.dense_index(sub.link_id(bottlenecks[i])) else {
-                unreachable!("subset links come from the full instance")
-            };
-            s.bottleneck = full as u32;
+        for (i, &path) in self.live_paths.iter().enumerate() {
+            let p = &mut self.paths[path as usize];
+            p.rate = rates[i];
+            p.bottleneck = bottlenecks[i] as u32;
         }
-        let recomputed = self.affected.len() as u64;
-        let reused = self.live as u64 - recomputed;
-        counters::CHURN_RECOMPUTED_FLOWS.add(recomputed);
-        counters::CHURN_REUSED_FLOWS.add(reused);
-        self.stats.recomputed_flows += recomputed;
-        self.stats.reused_flows += reused;
+        // Every other live slot already shows its current path.
+        for &slot in &self.touched {
+            let s = &mut self.slots[slot as usize];
+            s.shown = s.path;
+        }
+        self.touched.clear();
+
+        counters::CHURN_RECOMPUTED_FLOWS.add(self.live as u64);
+        counters::CHURN_RECOMPUTED_PATHS.add(self.live_paths.len() as u64);
+        self.stats.recomputed_flows += self.live as u64;
+        self.stats.recomputed_paths += self.live_paths.len() as u64;
 
         if self.cfg.verify {
             self.check_against_oracle();
@@ -539,40 +530,32 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
     }
 
     /// Full-recompute oracle check (the `verify` flag): a fresh run
-    /// over every live flow must agree bit for bit.
+    /// pushing every live flow separately must agree bit for bit.
     fn check_against_oracle(&mut self) {
         self.oracle_scratch.begin();
         for si in 0..self.slots.len() {
-            if !self.slots[si].live {
-                continue;
+            let path = self.slots[si].path;
+            if path != NO_PATH {
+                let span = self.span(path);
+                self.oracle_scratch.push_flow(&self.path_links[span]);
             }
-            let base = si * self.stride;
-            let plen = self.slots[si].len as usize;
-            self.flow_links.clear();
-            for j in 0..plen {
-                self.flow_links.push(self.slot_links[base + j] as usize);
-            }
-            self.oracle_scratch.push_flow(&self.flow_links);
         }
         self.instance.run(&mut self.oracle_scratch);
         let rates = self.oracle_scratch.rates();
         let bottlenecks = self.oracle_scratch.bottlenecks();
-        let mut i = 0;
-        for slot in &self.slots {
-            if !slot.live {
-                continue;
-            }
+        let live = self.slots.iter().filter(|s| s.path != NO_PATH);
+        for (i, slot) in live.enumerate() {
+            let (rate, bottleneck) = self.published(slot);
             assert!(
-                slot.rate == rates[i],
-                "incremental rate diverged from the oracle for key {}",
+                rate == rates[i],
+                "path-class rate diverged from the oracle for key {}",
                 slot.key
             );
             assert!(
-                slot.bottleneck as usize == bottlenecks[i],
-                "incremental bottleneck diverged from the oracle for key {}",
+                bottleneck == bottlenecks[i],
+                "path-class bottleneck diverged from the oracle for key {}",
                 slot.key
             );
-            i += 1;
         }
         // Raw round levels can contain floating-point duplicates (see
         // `levels`); normalize both sides to the sorted deduplicated
@@ -582,17 +565,16 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         oracle_levels.dedup();
         assert!(
             self.levels() == oracle_levels,
-            "incremental levels diverged from the oracle"
+            "path-class levels diverged from the oracle"
         );
     }
 
     /// Applies a failure overlay (see [`clos_net::failure`]): changed
     /// links take their new capacities — identifiers and dense indices
     /// stay stable, a dead link being a live link of zero capacity —
-    /// the waterfill instance is recompiled, and every changed link is
-    /// marked dirty so the next [`flush`](Self::flush) recomputes
-    /// exactly the components the failure touched. A no-op when the
-    /// overlay changes nothing.
+    /// and the waterfill instance is recompiled, so the next
+    /// [`flush`](Self::flush) recomputes under the new capacities. A
+    /// no-op when the overlay changes nothing.
     ///
     /// Placed flows are *not* moved — that is
     /// [`reroute_failed`](Self::reroute_failed)'s job. A flow crossing
@@ -626,33 +608,13 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         }
     }
 
-    /// Moves the live flow in `slot` onto its path via `class`,
-    /// updating member lists, live counts, and dirty marks on both the
-    /// old and new links. The recorded rate goes stale until the next
-    /// flush.
-    fn relocate(&mut self, slot: u32, class: usize) {
-        self.unlink_slot(slot);
-        let flow = self.slots[slot as usize].flow;
-        self.path_buf.clear();
-        self.fabric
-            .append_links_via(flow, class, &mut self.path_buf);
-        let len = self.path_buf.len();
-        debug_assert!(
-            len >= 1 && len <= self.stride,
-            "path length within the fabric's declared bound"
-        );
-        self.link_current_path(slot);
-        let s = &mut self.slots[slot as usize];
-        s.class = class as u32;
-        s.len = len as u32;
-    }
-
     /// Sweeps every live flow crossing a zero-capacity link and moves
     /// it, via the randomized local fast-reroute `policy`, onto a
     /// routing class whose interior links *all* survive. A flow with a
     /// dead host access link or no surviving class is left in place as
     /// *stuck* — its max-min rate is zero and no reroute (local or
-    /// global) can change that.
+    /// global) can change that. A moved flow keeps its published rate
+    /// until the next flush.
     ///
     /// The sweep runs in ascending slot order — a deterministic
     /// function of the event prefix — so the outcome depends only on
@@ -662,51 +624,34 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         let n = self.classes;
         let mut outcome = RerouteOutcome::default();
         let mut candidates: Vec<usize> = Vec::with_capacity(n);
-        for slot in 0..self.slots.len() as u32 {
-            let s = &self.slots[slot as usize];
-            if !s.live {
+        for slot in 0..self.slots.len() {
+            let path = self.slots[slot].path;
+            if path == NO_PATH {
                 continue;
             }
-            let (flow, len) = (s.flow, s.len as usize);
-            let base = slot as usize * self.stride;
-            let dead = (0..len).any(|j| {
-                self.instance
-                    .capacity(self.slot_links[base + j] as usize)
-                    .is_zero()
-            });
-            if !dead {
+            let dead = |d: &usize| self.instance.capacity(*d).is_zero();
+            let links = self.links_of(path);
+            if !links.iter().any(dead) {
                 continue;
             }
             // Host access links are shared by every class choice: if
             // one is dead, no detour exists.
-            let host_dead = self
-                .instance
-                .capacity(self.slot_links[base] as usize)
-                .is_zero()
-                || self
-                    .instance
-                    .capacity(self.slot_links[base + len - 1] as usize)
-                    .is_zero();
+            let host_dead = dead(&links[0]) || dead(&links[links.len() - 1]);
+            let first = path - self.paths[path as usize].class;
             candidates.clear();
             if !host_dead {
-                for class in 0..n {
-                    self.path_buf.clear();
-                    self.fabric
-                        .append_links_via(flow, class, &mut self.path_buf);
-                    let plen = self.path_buf.len();
-                    let span = if plen >= 3 { 1..plen - 1 } else { 0..plen };
-                    let alive = self.path_buf[span]
-                        .iter()
-                        .all(|&l| !self.instance.capacity(self.dense(l)).is_zero());
-                    if alive {
-                        candidates.push(class);
-                    }
-                }
+                candidates.extend(
+                    (0..n).filter(|&class| !self.interior(first + class as u32).iter().any(dead)),
+                );
             }
             if candidates.is_empty() {
                 outcome.stuck += 1;
             } else {
-                self.relocate(slot, policy.pick(&candidates));
+                let moved = first + policy.pick(&candidates) as u32;
+                self.leave(path);
+                self.join(moved);
+                self.slots[slot].path = moved;
+                self.touched.push(slot as u32);
                 outcome.moved += 1;
             }
         }
@@ -747,26 +692,37 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         self.stats
     }
 
+    /// The live slot of `key`, if any.
+    fn slot(&self, key: FlowKey) -> Option<&Slot> {
+        let slot = *self.slot_of_key.get(key as usize)?;
+        (slot != NO_SLOT).then(|| &self.slots[slot as usize])
+    }
+
+    /// A live slot's published rate and bottleneck (dense index): its
+    /// shown path's as of the last flush, or, if it arrived since, rate
+    /// zero on its first link (the source's access link, which every
+    /// class of the flow shares).
+    fn published(&self, slot: &Slot) -> (S, usize) {
+        if slot.shown == NO_PATH {
+            (S::zero(), self.links_of(slot.path)[0])
+        } else {
+            let p = &self.paths[slot.shown as usize];
+            (p.rate, p.bottleneck as usize)
+        }
+    }
+
     /// The rate of the live flow with `key` as of the last flush, or
     /// `None` if no live flow has that key.
     #[must_use]
     pub fn rate(&self, key: FlowKey) -> Option<S> {
-        let slot = *self.slot_of_key.get(key as usize)?;
-        if slot == NO_SLOT {
-            return None;
-        }
-        Some(self.slots[slot as usize].rate)
+        self.slot(key).map(|s| self.published(s).0)
     }
 
     /// The endpoints of the live flow with `key`, or `None` if no live
     /// flow has that key.
     #[must_use]
     pub fn flow(&self, key: FlowKey) -> Option<Flow> {
-        let slot = *self.slot_of_key.get(key as usize)?;
-        if slot == NO_SLOT {
-            return None;
-        }
-        Some(self.slots[slot as usize].flow)
+        self.slot(key).map(|s| self.paths[s.path as usize].flow)
     }
 
     /// The routing class the live flow with `key` was placed on (on a
@@ -776,25 +732,16 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
     /// [`reroute_failed`](Self::reroute_failed).
     #[must_use]
     pub fn class_of(&self, key: FlowKey) -> Option<usize> {
-        let slot = *self.slot_of_key.get(key as usize)?;
-        if slot == NO_SLOT {
-            return None;
-        }
-        Some(self.slots[slot as usize].class as usize)
+        self.slot(key)
+            .map(|s| self.paths[s.path as usize].class as usize)
     }
 
     /// The bottleneck link of the live flow with `key` as of the last
     /// flush.
     #[must_use]
     pub fn bottleneck(&self, key: FlowKey) -> Option<LinkId> {
-        let slot = *self.slot_of_key.get(key as usize)?;
-        if slot == NO_SLOT {
-            return None;
-        }
-        Some(
-            self.instance
-                .link_id(self.slots[slot as usize].bottleneck as usize),
-        )
+        self.slot(key)
+            .map(|s| self.instance.link_id(self.published(s).1))
     }
 
     /// Iterates over `(key, rate)` of every live flow in slot order (a
@@ -803,8 +750,8 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
     pub fn live_flows(&self) -> impl Iterator<Item = (FlowKey, S)> + '_ {
         self.slots
             .iter()
-            .filter(|s| s.live)
-            .map(|s| (s.key, s.rate))
+            .filter(|s| s.path != NO_PATH)
+            .map(|s| (s.key, self.published(s).0))
     }
 
     /// The global fill levels as of the last flush: the sorted,
@@ -818,12 +765,7 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
     /// run's raw sequence may contain duplicates.)
     #[must_use]
     pub fn levels(&self) -> Vec<S> {
-        let mut levels: Vec<S> = self
-            .slots
-            .iter()
-            .filter(|s| s.live)
-            .map(|s| s.rate)
-            .collect();
+        let mut levels: Vec<S> = self.live_flows().map(|(_, rate)| rate).collect();
         levels.sort_unstable();
         levels.dedup();
         levels
@@ -842,11 +784,9 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        for slot in &self.slots {
-            if slot.live {
-                fold(slot.key);
-                fold(slot.rate.to_f64().to_bits());
-            }
+        for (key, rate) in self.live_flows() {
+            fold(key);
+            fold(rate.to_f64().to_bits());
         }
         fold(self.live as u64);
         h
@@ -905,23 +845,63 @@ mod tests {
         assert!(e.live_flows().all(|(_, r)| r.is_positive()));
     }
 
+    /// Flows with the same endpoints and class share one waterfill
+    /// entry, and accessors publish the allocation as of the last flush:
+    /// an arrival reads rate zero (bottlenecked on its first link) until
+    /// then, and a rerouted flow keeps its old path's rate and bottleneck.
     #[test]
-    fn untouched_components_are_reused_not_recomputed() {
-        // ToR pair (0 -> 2) and ToR pair (1 -> 3) never share fabric
-        // links under greedy with one flow each per middle.
-        let mut e = engine(2, 1, true);
+    fn path_classes_share_entries_and_publish_at_flush() {
+        let mut e = engine(2, 100, true);
         let clos = e.fabric().clone();
-        e.apply(FlowEvent::Arrive {
-            key: 0,
-            flow: Flow::new(clos.source(0, 0), clos.destination(2, 0)),
-        });
-        e.apply(FlowEvent::Arrive {
-            key: 1,
-            flow: Flow::new(clos.source(1, 0), clos.destination(3, 0)),
-        });
-        // The second epoch recomputed only flow 1's component.
-        assert_eq!(e.stats().recomputed_flows, 2);
-        assert_eq!(e.stats().reused_flows, 1);
+        let x = Flow::new(clos.source(0, 0), clos.destination(2, 0));
+        let y = Flow::new(clos.source(0, 1), clos.destination(2, 1));
+        // Greedy places x, x, y, y, y on middles 0, 1, 0, 1, 0: four
+        // paths for five flows.
+        for (key, flow) in [x, x, y, y, y].into_iter().enumerate() {
+            e.apply(FlowEvent::Arrive {
+                key: key as u64,
+                flow,
+            });
+        }
+        e.flush();
+        assert_eq!(e.stats().recomputed_flows, 5);
+        assert_eq!(e.stats().recomputed_paths, 4);
+        assert_eq!(e.stats().reused_flows, 0);
+        let (third, two_thirds) = (Rational::new(1, 3), Rational::new(2, 3));
+        assert_eq!(e.class_of(0), Some(0));
+        assert_eq!(e.rate(0), Some(third));
+        assert_eq!(e.class_of(1), Some(1));
+        assert_eq!(e.rate(1), Some(two_thirds));
+        let (b0, b1) = (e.bottleneck(0), e.bottleneck(1));
+        assert_ne!(b0, b1);
+
+        // An arrival since the flush reads rate zero on its first link;
+        // the others keep their published rates.
+        e.apply(FlowEvent::Arrive { key: 5, flow: x });
+        assert_eq!(e.class_of(5), Some(1));
+        assert_eq!(e.rate(5), Some(Rational::ZERO));
+        assert_eq!(e.bottleneck(5), Some(clos.host_uplink(0, 0)));
+        assert_eq!(e.rate(1), Some(two_thirds));
+        assert_eq!(e.levels(), vec![Rational::ZERO, third, two_thirds]);
+
+        // Kill middle 0's uplink and reroute: flow 0 reports its new
+        // middle at once, but its old path's rate and bottleneck (not
+        // those of flow 1, which shares its new path) until the flush.
+        let mut overlay = clos_net::CapacityMap::new();
+        overlay.insert(
+            clos.uplink(0, 0),
+            clos_net::Capacity::finite_value(Rational::ZERO),
+        );
+        e.apply_failure(&overlay);
+        let outcome = e.reroute_failed(&mut LocalReroute::new(5));
+        assert_eq!(outcome.moved, 3);
+        assert_eq!(e.class_of(0), Some(1));
+        assert_eq!(e.rate(0), Some(third));
+        assert_eq!(e.bottleneck(0), b0);
+        e.flush();
+        assert!(e.live_flows().all(|(_, r)| r == Rational::new(1, 6)));
+        assert_eq!(e.stats().recomputed_flows, 11);
+        assert_eq!(e.stats().recomputed_paths, 6);
     }
 
     #[test]
@@ -969,7 +949,7 @@ mod tests {
 
     /// The engine makes no 4-link/4-layer assumption: a Benes fabric of
     /// order 3 has 6-link paths and 4 routing classes, and the verify
-    /// oracle pins the incremental allocation bit for bit across an
+    /// oracle pins the path-class allocation bit for bit across an
     /// arrive/depart mix that reuses slots.
     #[test]
     fn benes_six_link_paths_match_oracle() {
@@ -999,8 +979,8 @@ mod tests {
             assert!(class < 4);
             assert!(e.rate(t as u64).expect("rate published").is_positive());
         }
-        // Depart half (exercising swap-remove on 6-entry link sets),
-        // then re-arrive onto reused slots.
+        // Depart half (emptying paths off the live-path list), then
+        // re-arrive onto reused slots.
         for t in (0..terminals).step_by(2) {
             e.apply(FlowEvent::Depart { key: t as u64 });
         }

@@ -1,4 +1,4 @@
-//! `clos-churn`: event-driven incremental max-min allocation.
+//! `clos-churn`: event-driven max-min allocation under flow churn.
 //!
 //! The rest of this workspace evaluates *static* instances: a flow
 //! collection is routed once and water-filled once. Real data centers
@@ -14,13 +14,14 @@
 //! * [`policy`] — per-event online routing ([`OnlinePolicy`]): ECMP,
 //!   greedy, and first-fit mirrors of the `clos-core` batch routers
 //!   over persistent live-flow counts, never disturbing placed flows.
-//! * [`engine`] — the [`ChurnEngine`]: per-link live-flow state over
-//!   any [`Fabric`](clos_net::Fabric) (Clos by default) with
-//!   event batching, where each recompute epoch re-runs water-filling
-//!   only over the *dirty region* (the components touched since the
-//!   last epoch) and provably reproduces a full recompute bit for bit
-//!   — checkable online via [`ChurnConfig::verify`]'s full-recompute
-//!   oracle.
+//! * [`engine`] — the [`ChurnEngine`]: live flows over any
+//!   [`Fabric`](clos_net::Fabric) (Clos by default), grouped at apply
+//!   time into *path classes* (flows with the same endpoints and routing
+//!   class). Each batched recompute epoch runs one water-filling over
+//!   the live paths, each weighted by its number of live flows; flows
+//!   on a path freeze together at one level, so the result reproduces a
+//!   per-flow full recompute bit for bit — checkable online via
+//!   [`ChurnConfig::verify`]'s full-recompute oracle.
 //!
 //! Sustained throughput at C₃/C₄ scales with 10⁵–10⁶ concurrent flows
 //! is tracked by the `bench_churn` binary in `clos-bench` (versioned

@@ -1,8 +1,7 @@
-//! Property tests: the incremental engine stays bit-identical to a
-//! fresh full water-filling run when flow churn *races failure
-//! overlays* — departures and arrivals landing in the same batch as a
-//! link death exercise both the member swap-remove fixup on dead
-//! links and the zero-capacity cut in the dirty-region BFS.
+//! Property tests: the churn engine stays bit-identical to a fresh
+//! full water-filling run when flow churn *races failure overlays* —
+//! departures and arrivals landing in the same batch as a link death
+//! exercise path multiplicities changing on zero-capacity links.
 
 use clos_churn::{
     ChurnConfig, ChurnEngine, FlowEvent, LocalReroute, OnlinePolicy, Pattern, SizeDist,
@@ -144,10 +143,10 @@ proptest! {
     }
 }
 
-/// A departure in the same batch as the death of its own links: the
-/// swap-remove fixup runs against member lists of a zero-capacity
-/// link, then the epoch recomputes with the dead link as a region
-/// seed. Pinned deterministically (no proptest shrink noise).
+/// A departure in the same batch as the death of its own links: a
+/// path crossing a zero-capacity link loses a flow, then the epoch
+/// recomputes under the new capacities. Pinned deterministically (no
+/// proptest shrink noise).
 #[test]
 fn departure_races_middle_death_in_one_batch() {
     let clos = ClosNetwork::standard(3);

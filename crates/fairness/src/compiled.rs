@@ -23,6 +23,19 @@
 //! compile-then-run wrappers over this module, so results are identical
 //! by construction (and pinned by the `compiled_equivalence` test suite).
 //!
+//! # Multiplicities
+//!
+//! [`WaterfillScratch::push_flows`] describes `m` flows with one link set
+//! as a single entry. Identical flows are members of exactly the same
+//! links, so they freeze in the same round, on the same first saturating
+//! link, at the same level. The run therefore counts the entry `m` times
+//! in every link's active count and, when it freezes, adds the round's
+//! level to each link's frozen load `m` times — every add in a round is
+//! the same value, so the sum does not depend on how the adds are
+//! grouped or ordered. Rates, levels, and bottlenecks are bit-identical
+//! to pushing the `m` flows one by one, in any order, in every scalar
+//! mode.
+//!
 //! # The scratch-reuse contract
 //!
 //! Between `run`s the scratch may only be refilled via
@@ -153,8 +166,8 @@ impl<S: Scalar> WaterfillInstance<S> {
     }
 
     /// Returns the original ids of every compiled link, in dense order
-    /// (the extension hook incremental recomputation uses to translate a
-    /// dirty region back into network link ids for `compile_subset`).
+    /// (callers holding dense indices across a recompile compare these
+    /// to check that the dense layout stayed stable).
     #[must_use]
     pub fn link_ids(&self) -> &[LinkId] {
         &self.link_ids
@@ -198,7 +211,7 @@ impl<S: Scalar> WaterfillInstance<S> {
         let links = self.capacities.len();
 
         // Per-link member lists, rebuilt by counting sort into one flat
-        // buffer: count occurrences, prefix-sum into starts, then fill.
+        // buffer: count entries, prefix-sum into starts, then fill.
         s.active_count.clear();
         s.active_count.resize(links, 0);
         for &d in &s.flow_links {
@@ -211,6 +224,17 @@ impl<S: Scalar> WaterfillInstance<S> {
         for &c in &s.active_count {
             total += c;
             s.member_starts.push(total);
+        }
+        // Active counts are flows, not entries: weigh each entry by its
+        // multiplicity (nothing to add for unit entries).
+        let weighted = !s.multiplicity.is_empty();
+        if weighted {
+            for i in 0..flows {
+                let extra = s.multiplicity[i] - 1;
+                for k in s.flow_starts[i]..s.flow_starts[i + 1] {
+                    s.active_count[s.flow_links[k]] += extra;
+                }
+            }
         }
         s.cursor.clear();
         s.cursor.extend_from_slice(&s.member_starts[..links]);
@@ -295,10 +319,15 @@ impl<S: Scalar> WaterfillInstance<S> {
             s.levels.push(level);
             for i in 0..s.newly_frozen.len() {
                 let f = s.newly_frozen[i];
+                let m = if weighted { s.multiplicity[f] } else { 1 };
                 for k in s.flow_starts[f]..s.flow_starts[f + 1] {
                     let d = s.flow_links[k];
-                    s.active_count[d] -= 1;
-                    s.frozen_load[d] += level;
+                    s.active_count[d] -= m;
+                    // One add per flow, never `level * m`: the repeated
+                    // sum is what `m` separate entries would compute.
+                    for _ in 0..m {
+                        s.frozen_load[d] += level;
+                    }
                     s.stale[d] = true;
                 }
                 remaining -= 1;
@@ -327,8 +356,11 @@ pub struct WaterfillScratch<S> {
     /// `flow_starts`). Duplicate entries count double, exactly like a
     /// path crossing the same link twice.
     flow_links: Vec<usize>,
-    /// `flow_links[flow_starts[i]..flow_starts[i + 1]]` are flow `i`'s.
+    /// `flow_links[flow_starts[i]..flow_starts[i + 1]]` are entry `i`'s.
     flow_starts: Vec<usize>,
+    /// Per-entry count of identical flows the entry stands for; empty
+    /// while every entry is a single flow, so unit pushes cost nothing.
+    multiplicity: Vec<usize>,
     /// Member flows of every link, concatenated (CSR with
     /// `member_starts`); rebuilt each run by counting sort.
     members: Vec<usize>,
@@ -366,6 +398,7 @@ impl<S: Scalar> WaterfillScratch<S> {
         WaterfillScratch {
             flow_links: Vec::new(),
             flow_starts: vec![0],
+            multiplicity: Vec::new(),
             members: Vec::new(),
             member_starts: Vec::new(),
             cursor: Vec::new(),
@@ -388,16 +421,37 @@ impl<S: Scalar> WaterfillScratch<S> {
         self.flow_links.clear();
         self.flow_starts.clear();
         self.flow_starts.push(0);
+        self.multiplicity.clear();
     }
 
     /// Appends the next flow, crossing the given dense link indices (from
     /// [`WaterfillInstance::dense_index`]; duplicates count double).
     pub fn push_flow(&mut self, links: &[usize]) {
+        self.push_flows(links, 1);
+    }
+
+    /// Appends `multiplicity` identical flows crossing `links` as one
+    /// entry: the run gives the entry the rate and bottleneck each of
+    /// those flows would get if pushed separately (see the module docs),
+    /// and the result slices hold one element per entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `multiplicity` is zero.
+    pub fn push_flows(&mut self, links: &[usize], multiplicity: usize) {
+        assert!(multiplicity >= 1, "an entry stands for at least one flow");
+        if multiplicity > 1 || !self.multiplicity.is_empty() {
+            // On the first weighted entry, every earlier one is a single
+            // flow.
+            self.multiplicity.resize(self.flow_count(), 1);
+            self.multiplicity.push(multiplicity);
+        }
         self.flow_links.extend_from_slice(links);
         self.flow_starts.push(self.flow_links.len());
     }
 
-    /// Number of flows described since the last [`Self::begin`].
+    /// Number of entries described since the last [`Self::begin`] (one
+    /// per [`Self::push_flow`] or [`Self::push_flows`] call).
     #[must_use]
     pub fn flow_count(&self) -> usize {
         self.flow_starts.len() - 1
@@ -412,7 +466,7 @@ impl<S: Scalar> WaterfillScratch<S> {
         n >= 2 && self.flow_starts[n - 1] == self.flow_starts[n - 2]
     }
 
-    /// Per-flow rates of the last run, in flow order.
+    /// Per-entry rates of the last run, in push order.
     #[must_use]
     pub fn rates(&self) -> &[S] {
         &self.rates
@@ -424,7 +478,7 @@ impl<S: Scalar> WaterfillScratch<S> {
         &self.levels
     }
 
-    /// Per-flow dense index of the bottleneck link of the last run (map
+    /// Per-entry dense index of the bottleneck link of the last run (map
     /// back with [`WaterfillInstance::link_id`]).
     #[must_use]
     pub fn bottlenecks(&self) -> &[usize] {

@@ -171,3 +171,128 @@ proptest! {
         assert_compiled_matches_fresh::<TotalF64>(&clos, &raw, &assignments);
     }
 }
+
+/// One waterfill entry: dense links plus the number of identical flows
+/// it stands for.
+type Entry = (Vec<usize>, usize);
+
+/// Runs `entries` pushed in `order`, either as one weighted entry each
+/// (`grouped`) or as that many separate unit flows. Returns, per entry in
+/// its original position, the `(rate, bottleneck)` of each of its flows,
+/// plus the run's levels.
+fn run_entries<S: Scalar>(
+    instance: &WaterfillInstance<S>,
+    entries: &[Entry],
+    order: &[usize],
+    grouped: bool,
+) -> (Vec<Vec<(S, usize)>>, Vec<S>) {
+    let mut scratch = WaterfillScratch::new();
+    scratch.begin();
+    for &i in order {
+        let (links, m) = &entries[i];
+        if grouped {
+            scratch.push_flows(links, *m);
+        } else {
+            for _ in 0..*m {
+                scratch.push_flow(links);
+            }
+        }
+    }
+    instance.run(&mut scratch);
+    let mut per_entry = vec![Vec::new(); entries.len()];
+    let mut k = 0;
+    for &i in order {
+        let copies = if grouped { 1 } else { entries[i].1 };
+        for _ in 0..copies {
+            per_entry[i].push((scratch.rates()[k], scratch.bottlenecks()[k]));
+            k += 1;
+        }
+        if grouped {
+            let shared = per_entry[i][0];
+            per_entry[i].resize(entries[i].1, shared);
+        }
+    }
+    (per_entry, scratch.levels().to_vec())
+}
+
+/// Asserts that `k` copies pushed separately and one entry of
+/// multiplicity `k` give bit-identical rates, levels, and bottlenecks,
+/// and that neither changes under the push-order permutation `order`.
+fn assert_multiplicity_exact<S: Scalar>(clos: &ClosNetwork, entries: &[Entry], order: &[usize]) {
+    let instance = WaterfillInstance::<S>::compile(clos.network());
+    let identity: Vec<usize> = (0..entries.len()).collect();
+    let separate = run_entries(&instance, entries, &identity, false);
+    assert_eq!(
+        run_entries(&instance, entries, &identity, true),
+        separate,
+        "multiplicity entries diverged from separate copies"
+    );
+    assert_eq!(
+        run_entries(&instance, entries, order, true),
+        separate,
+        "permuted multiplicity entries diverged"
+    );
+    assert_eq!(
+        run_entries(&instance, entries, order, false),
+        separate,
+        "permuted separate copies diverged"
+    );
+}
+
+/// Random entries on `C_n`, each `(src_tor, src_host, dst_tor, dst_host,
+/// middle, multiplicity, sort key)`; the sort keys define a permutation
+/// of the push order.
+fn weighted_entries(
+    n: usize,
+    max_entries: usize,
+) -> impl Strategy<Value = Vec<(usize, usize, usize, usize, usize, usize, u64)>> {
+    let entry = (
+        0..2 * n,
+        0..n,
+        0..2 * n,
+        0..n,
+        0..n,
+        1..=6usize,
+        any::<u64>(),
+    );
+    prop::collection::vec(entry, 1..=max_entries)
+}
+
+/// Dense entries and a push-order permutation from raw tuples.
+fn entries_and_order(
+    clos: &ClosNetwork,
+    raw: &[(usize, usize, usize, usize, usize, usize, u64)],
+) -> (Vec<Entry>, Vec<usize>) {
+    let instance = WaterfillInstance::<Rational>::compile(clos.network());
+    let entries = raw
+        .iter()
+        .map(|&(si, sj, ti, tj, m, k, _)| {
+            let flow = Flow::new(clos.source(si, sj), clos.destination(ti, tj));
+            let links = clos
+                .path_via(flow, m)
+                .links()
+                .iter()
+                .filter_map(|&l| instance.dense_index(l))
+                .collect();
+            (links, k)
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..raw.len()).collect();
+    order.sort_by_key(|&i| (raw[i].6, i));
+    (entries, order)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A multiplicity-`k` entry is exactly `k` pushed copies, in both
+    /// scalars, and results do not depend on push order (the churn
+    /// engine's live-path list is unordered).
+    #[test]
+    fn multiplicity_equals_copies_in_any_order(raw in weighted_entries(3, 10)) {
+        let clos = ClosNetwork::standard(3);
+        let (entries, order) = entries_and_order(&clos, &raw);
+        assert_multiplicity_exact::<Rational>(&clos, &entries, &order);
+        assert_multiplicity_exact::<TotalF64>(&clos, &entries, &order);
+    }
+}

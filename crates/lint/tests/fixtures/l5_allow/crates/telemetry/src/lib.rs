@@ -68,6 +68,8 @@ pub mod churn {
     pub static CHURN_EVENTS: Counter = Counter::new("churn.events");
     /// Recompute epochs flushed; near-miss of the timer below.
     pub static CHURN_EPOCHS: Counter = Counter::new("churn.epochs");
+    /// Live paths recomputed per epoch (one waterfill entry each).
+    pub static CHURN_RECOMPUTED_PATHS: Counter = Counter::new("churn.recomputed_paths");
     /// Epoch timer: derives `churn.epoch.nanos` and `churn.epoch.spans`.
     pub static CHURN_EPOCH: Timer = Timer::new("churn.epoch");
 }
@@ -75,6 +77,7 @@ pub mod churn {
 /// Instrumentation site referencing a churn static registered above.
 pub fn touch_churn() {
     counters::CHURN_EVENTS.incr();
+    counters::CHURN_RECOMPUTED_PATHS.add(1);
 }
 
 /// Registered statics of the failure and reroute subsystems — the

@@ -84,6 +84,8 @@ pub mod churn {
     pub static CHURN_EPOCHS: Counter = Counter::new("churn.epochs");
     /// Links whose saturation level could change per epoch.
     pub static CHURN_DIRTY_LINKS: Counter = Counter::new("churn.dirty_links");
+    /// Live paths recomputed per epoch (one waterfill entry each).
+    pub static CHURN_RECOMPUTED_PATHS: Counter = Counter::new("churn.recomputed_paths");
     /// Epoch timer: derives `churn.epoch.nanos` and `churn.epoch.spans`.
     pub static CHURN_EPOCH: Timer = Timer::new("churn.epoch");
 }
@@ -91,6 +93,7 @@ pub mod churn {
 /// Instrumentation sites referencing churn statics and the epoch span.
 pub fn touch_churn() {
     counters::CHURN_EVENTS.incr();
+    counters::CHURN_RECOMPUTED_PATHS.add(1);
     span("churn.epoch");
 }
 

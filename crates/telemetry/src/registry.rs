@@ -232,11 +232,17 @@ pub mod counters {
     pub static CHURN_DEPARTURES: Counter = Counter::new("churn.departures");
     /// Churn recompute epochs (batched incremental water-filling runs).
     pub static CHURN_EPOCHS: Counter = Counter::new("churn.epochs");
-    /// Links marked dirty by churn events since the previous epoch.
+    /// Links whose flow set or capacity changed since the previous
+    /// churn epoch.
     pub static CHURN_DIRTY_LINKS: Counter = Counter::new("churn.dirty_links");
-    /// Live flows whose rates a churn epoch recomputed (the dirty region).
+    /// Live flows whose rates a churn epoch recomputed (all of them).
     pub static CHURN_RECOMPUTED_FLOWS: Counter = Counter::new("churn.recomputed_flows");
-    /// Live flows whose cached rates a churn epoch reused untouched.
+    /// Live paths a churn epoch recomputed, one waterfill entry each
+    /// (`churn.recomputed_flows` over this is the mean number of flows
+    /// sharing a path).
+    pub static CHURN_RECOMPUTED_PATHS: Counter = Counter::new("churn.recomputed_paths");
+    /// Live flows whose cached rates a churn epoch reused untouched;
+    /// always 0, since every epoch recomputes every live path.
     pub static CHURN_REUSED_FLOWS: Counter = Counter::new("churn.reused_flows");
     /// Failure overlays applied to a churn engine (`apply_failure`
     /// calls that changed at least one link).
@@ -258,7 +264,7 @@ pub mod counters {
 
     /// Every registered counter, in a stable order.
     #[must_use]
-    pub fn all() -> [&'static Counter; 30] {
+    pub fn all() -> [&'static Counter; 31] {
         [
             &WATERFILL_CALLS,
             &WATERFILL_ROUNDS,
@@ -283,6 +289,7 @@ pub mod counters {
             &CHURN_EPOCHS,
             &CHURN_DIRTY_LINKS,
             &CHURN_RECOMPUTED_FLOWS,
+            &CHURN_RECOMPUTED_PATHS,
             &CHURN_REUSED_FLOWS,
             &FAILURE_EVENTS,
             &FAILURE_LINKS_DEGRADED,

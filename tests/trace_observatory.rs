@@ -4,11 +4,17 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// A fresh scratch path per call: tests run in parallel threads of one
+/// process, so the process id alone would let concurrent `compare`
+/// calls overwrite each other's fixtures.
 fn temp_path(name: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let seq = NEXT.fetch_add(1, Ordering::Relaxed);
     let mut p = std::env::temp_dir();
     p.push(format!(
-        "clos_trace_observatory_{}_{name}",
+        "clos_trace_observatory_{}_{seq}_{name}",
         std::process::id()
     ));
     p
