@@ -5,7 +5,7 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use clos_net::ClosNetwork;
-use clos_sim::{simulate_fct, FctConfig, PathPolicy, SizeDist, Transport};
+use clos_sim::{simulate_fct, FctConfig, SizeDist, Transport};
 
 fn bench_fct(c: &mut Criterion) {
     let mut group = c.benchmark_group("fct_sim");
@@ -21,24 +21,10 @@ fn bench_fct(c: &mut Criterion) {
             seed: 3,
         };
         group.bench_with_input(BenchmarkId::new("fair_sharing", flows), &flows, |b, _| {
-            b.iter(|| {
-                black_box(simulate_fct(
-                    &clos,
-                    &config,
-                    Transport::FairSharing,
-                    PathPolicy::LeastLoaded,
-                ))
-            });
+            b.iter(|| black_box(simulate_fct(&clos, &config, Transport::FairSharing)));
         });
         group.bench_with_input(BenchmarkId::new("scheduling", flows), &flows, |b, _| {
-            b.iter(|| {
-                black_box(simulate_fct(
-                    &clos,
-                    &config,
-                    Transport::Scheduling,
-                    PathPolicy::LeastLoaded,
-                ))
-            });
+            b.iter(|| black_box(simulate_fct(&clos, &config, Transport::Scheduling)));
         });
     }
     group.finish();

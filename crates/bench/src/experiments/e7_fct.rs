@@ -2,7 +2,7 @@
 //! control versus admission scheduling, across offered loads.
 
 use clos_net::ClosNetwork;
-use clos_sim::{simulate_fct, FctConfig, FctStats, PathPolicy, SizeDist, Transport};
+use clos_sim::{simulate_fct, FctConfig, FctStats, SizeDist, Transport};
 
 use crate::table::Table;
 
@@ -19,7 +19,7 @@ pub struct Row {
 
 /// Runs the FCT comparison on `C_n` for each offered load, with
 /// fixed-size flows (the regime where scheduling's benefit is cleanest)
-/// and least-loaded path selection.
+/// and the churn engine's greedy online path selection.
 #[must_use]
 pub fn run(n: usize, loads: &[f64], flow_count: usize, seed: u64) -> Vec<Row> {
     let clos = ClosNetwork::standard(n);
@@ -34,7 +34,7 @@ pub fn run(n: usize, loads: &[f64], flow_count: usize, seed: u64) -> Vec<Row> {
             seed,
         };
         for transport in [Transport::FairSharing, Transport::Scheduling] {
-            let stats = simulate_fct(&clos, &config, transport, PathPolicy::LeastLoaded);
+            let stats = simulate_fct(&clos, &config, transport);
             rows.push(Row {
                 load,
                 transport,

@@ -19,9 +19,10 @@
 //! iteration of [`max_min_fair_traced`] — same link order, same freezing
 //! order, same arithmetic — with **zero heap allocations** once the
 //! scratch has warmed up to the instance size. The public
-//! [`max_min_fair`]/[`max_min_fair_traced`] functions are thin
-//! compile-then-run wrappers over this module, so results are identical
-//! by construction (and pinned by the `compiled_equivalence` test suite).
+//! [`max_min_fair`]/[`max_min_fair_traced`]/[`max_min_fair_weighted`]
+//! functions are thin compile-then-run wrappers over this module, so
+//! results are identical by construction (and pinned by the
+//! `compiled_equivalence` test suite).
 //!
 //! # Multiplicities
 //!
@@ -36,6 +37,16 @@
 //! to pushing the `m` flows one by one, in any order, in every scalar
 //! mode.
 //!
+//! # Weights
+//!
+//! [`WaterfillScratch::push_weighted_flow`] gives an entry a weight `w`
+//! ([`max_min_fair_weighted`]). A link's level is then its residual
+//! capacity divided by the summed weights of its unfrozen flows; an entry
+//! freezes at rate `w · level`, added once to each of its links' frozen
+//! load. Without weighted entries the weight vector stays empty and the
+//! unweighted arithmetic runs unchanged; a multiplicity-`m` entry in a
+//! weighted run counts as `m` flows of unit weight.
+//!
 //! # The scratch-reuse contract
 //!
 //! Between `run`s the scratch may only be refilled via
@@ -49,6 +60,7 @@
 //!
 //! [`max_min_fair`]: crate::max_min_fair
 //! [`max_min_fair_traced`]: crate::max_min_fair_traced
+//! [`max_min_fair_weighted`]: crate::max_min_fair_weighted
 
 use clos_net::{LinkId, Network};
 use clos_rational::Scalar;
@@ -227,12 +239,29 @@ impl<S: Scalar> WaterfillInstance<S> {
         }
         // Active counts are flows, not entries: weigh each entry by its
         // multiplicity (nothing to add for unit entries).
-        let weighted = !s.multiplicity.is_empty();
-        if weighted {
+        let multiplied = !s.multiplicity.is_empty();
+        if multiplied {
             for i in 0..flows {
                 let extra = s.multiplicity[i] - 1;
                 for k in s.flow_starts[i]..s.flow_starts[i + 1] {
                     s.active_count[s.flow_links[k]] += extra;
+                }
+            }
+        }
+        // Weighted runs fill a link by the summed weights of its active
+        // flows instead of their count (entries pushed without a weight
+        // after the last weighted one have unit weight).
+        let weighted = !s.weights.is_empty();
+        if weighted {
+            s.weights.resize(flows, S::one());
+            s.active_weight.clear();
+            s.active_weight.resize(links, S::zero());
+            for i in 0..flows {
+                let m = if multiplied { s.multiplicity[i] } else { 1 };
+                for k in s.flow_starts[i]..s.flow_starts[i + 1] {
+                    for _ in 0..m {
+                        s.active_weight[s.flow_links[k]] += s.weights[i];
+                    }
                 }
             }
         }
@@ -282,8 +311,13 @@ impl<S: Scalar> WaterfillInstance<S> {
                     continue;
                 }
                 if s.stale[d] {
+                    let active = if weighted {
+                        s.active_weight[d]
+                    } else {
+                        S::from_usize(s.active_count[d])
+                    };
                     s.link_level[d] =
-                        saturation_level(self.capacities[d], s.frozen_load[d], s.active_count[d]);
+                        saturation_level(self.capacities[d], s.frozen_load[d], active);
                     s.stale[d] = false;
                 }
                 let l = s.link_level[d];
@@ -307,7 +341,11 @@ impl<S: Scalar> WaterfillInstance<S> {
                         let f = s.members[k];
                         if !s.frozen[f] {
                             s.frozen[f] = true;
-                            s.rates[f] = level;
+                            s.rates[f] = if weighted {
+                                s.weights[f] * level
+                            } else {
+                                level
+                            };
                             s.bottleneck_of[f] = d;
                             s.newly_frozen.push(f);
                         }
@@ -319,14 +357,20 @@ impl<S: Scalar> WaterfillInstance<S> {
             s.levels.push(level);
             for i in 0..s.newly_frozen.len() {
                 let f = s.newly_frozen[i];
-                let m = if weighted { s.multiplicity[f] } else { 1 };
+                let m = if multiplied { s.multiplicity[f] } else { 1 };
+                let rate = s.rates[f];
                 for k in s.flow_starts[f]..s.flow_starts[f + 1] {
                     let d = s.flow_links[k];
                     s.active_count[d] -= m;
-                    // One add per flow, never `level * m`: the repeated
+                    // One add per flow, never `rate * m`: the repeated
                     // sum is what `m` separate entries would compute.
                     for _ in 0..m {
-                        s.frozen_load[d] += level;
+                        s.frozen_load[d] += rate;
+                    }
+                    if weighted {
+                        for _ in 0..m {
+                            s.active_weight[d] -= s.weights[f];
+                        }
                     }
                     s.stale[d] = true;
                 }
@@ -336,15 +380,16 @@ impl<S: Scalar> WaterfillInstance<S> {
     }
 }
 
-/// Residual capacity per active flow — the fill level at which the link
-/// saturates if no other link freezes its members first.
-fn saturation_level<S: Scalar>(cap: S, frozen_load: S, active: usize) -> S {
+/// Residual capacity per unit of active weight (per active flow when
+/// unweighted) — the fill level at which the link saturates if no other
+/// link freezes its members first.
+fn saturation_level<S: Scalar>(cap: S, frozen_load: S, active: S) -> S {
     let residual = if cap > frozen_load {
         cap - frozen_load
     } else {
         S::zero()
     };
-    residual / S::from_usize(active)
+    residual / active
 }
 
 /// The routing-dependent half of water-filling: every buffer the
@@ -361,6 +406,10 @@ pub struct WaterfillScratch<S> {
     /// Per-entry count of identical flows the entry stands for; empty
     /// while every entry is a single flow, so unit pushes cost nothing.
     multiplicity: Vec<usize>,
+    /// Per-entry weight; empty while every entry has unit weight, and
+    /// shorter than the entry list when unit entries follow the last
+    /// weighted one (the run pads it with ones).
+    weights: Vec<S>,
     /// Member flows of every link, concatenated (CSR with
     /// `member_starts`); rebuilt each run by counting sort.
     members: Vec<usize>,
@@ -376,6 +425,8 @@ pub struct WaterfillScratch<S> {
     newly_frozen: Vec<usize>,
     /// Per-link count of unfrozen member flows.
     active_count: Vec<usize>,
+    /// Per-link summed weight of unfrozen member flows (weighted runs).
+    active_weight: Vec<S>,
     /// Per-link load already committed by frozen flows.
     frozen_load: Vec<S>,
     /// Cached per-link saturation level (valid where `stale` is false).
@@ -399,6 +450,7 @@ impl<S: Scalar> WaterfillScratch<S> {
             flow_links: Vec::new(),
             flow_starts: vec![0],
             multiplicity: Vec::new(),
+            weights: Vec::new(),
             members: Vec::new(),
             member_starts: Vec::new(),
             cursor: Vec::new(),
@@ -406,6 +458,7 @@ impl<S: Scalar> WaterfillScratch<S> {
             frozen: Vec::new(),
             newly_frozen: Vec::new(),
             active_count: Vec::new(),
+            active_weight: Vec::new(),
             frozen_load: Vec::new(),
             link_level: Vec::new(),
             stale: Vec::new(),
@@ -422,6 +475,7 @@ impl<S: Scalar> WaterfillScratch<S> {
         self.flow_starts.clear();
         self.flow_starts.push(0);
         self.multiplicity.clear();
+        self.weights.clear();
     }
 
     /// Appends the next flow, crossing the given dense link indices (from
@@ -450,8 +504,28 @@ impl<S: Scalar> WaterfillScratch<S> {
         self.flow_starts.push(self.flow_links.len());
     }
 
+    /// Appends one flow of weight `weight` crossing `links`: the run
+    /// fills it at `weight` times the level of its links and gives its
+    /// rate, so `weight` one reproduces [`Self::push_flow`] bit for bit
+    /// (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weight` is not strictly positive.
+    pub fn push_weighted_flow(&mut self, links: &[usize], weight: S) {
+        assert!(weight > S::zero(), "weights must be strictly positive");
+        // Every earlier entry without a weight has unit weight.
+        self.weights.resize(self.flow_count(), S::one());
+        self.weights.push(weight);
+        if !self.multiplicity.is_empty() {
+            self.multiplicity.push(1);
+        }
+        self.flow_links.extend_from_slice(links);
+        self.flow_starts.push(self.flow_links.len());
+    }
+
     /// Number of entries described since the last [`Self::begin`] (one
-    /// per [`Self::push_flow`] or [`Self::push_flows`] call).
+    /// per push call).
     #[must_use]
     pub fn flow_count(&self) -> usize {
         self.flow_starts.len() - 1

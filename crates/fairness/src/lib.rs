@@ -7,6 +7,10 @@
 //! filling (water-filling), and verify it independently via the
 //! **bottleneck property** (Lemma 2.2).
 //!
+//! There is one filling loop, [`WaterfillInstance::run`]; [`max_min_fair`],
+//! [`max_min_fair_traced`] and the weighted [`max_min_fair_weighted`] are
+//! wrappers over it, certified independently by the two verifiers.
+//!
 //! Everything is generic over [`Scalar`], so the same allocator runs exactly
 //! (over [`Rational`], used for all theorem verification) and fast (over
 //! [`TotalF64`], used by the large-scale simulator).

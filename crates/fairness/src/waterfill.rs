@@ -159,6 +159,30 @@ pub fn max_min_fair_traced<S: Scalar>(
     flows: &[Flow],
     routing: &Routing,
 ) -> Result<(Allocation<S>, WaterfillTrace<S>), FairnessError> {
+    let (instance, scratch) = compile_and_run(net, flows, routing, None)?;
+    let bottleneck_of = scratch
+        .bottlenecks()
+        .iter()
+        .map(|&d| instance.link_id(d))
+        .collect();
+    Ok((
+        Allocation::from_rates(scratch.rates().to_vec()),
+        WaterfillTrace {
+            levels: scratch.levels().to_vec(),
+            bottleneck_of,
+        },
+    ))
+}
+
+/// Compiles `net`, describes the routed flows into a fresh scratch (with
+/// per-flow `weights`, if given), and runs it once — the body shared by
+/// the allocating wrappers.
+pub(crate) fn compile_and_run<S: Scalar>(
+    net: &Network,
+    flows: &[Flow],
+    routing: &Routing,
+    weights: Option<&[S]>,
+) -> Result<(WaterfillInstance<S>, WaterfillScratch<S>), FairnessError> {
     assert_eq!(
         routing.len(),
         flows.len(),
@@ -190,22 +214,13 @@ pub fn max_min_fair_traced<S: Scalar>(
         if buf.is_empty() {
             return Err(FairnessError::UnboundedRate(FlowId::from(i)));
         }
-        scratch.push_flow(&buf);
+        match weights {
+            Some(weights) => scratch.push_weighted_flow(&buf, weights[i]),
+            None => scratch.push_flow(&buf),
+        }
     }
     instance.run(&mut scratch);
-
-    let bottleneck_of = scratch
-        .bottlenecks()
-        .iter()
-        .map(|&d| instance.link_id(d))
-        .collect();
-    Ok((
-        Allocation::from_rates(scratch.rates().to_vec()),
-        WaterfillTrace {
-            levels: scratch.levels().to_vec(),
-            bottleneck_of,
-        },
-    ))
+    Ok((instance, scratch))
 }
 
 #[cfg(test)]

@@ -9,6 +9,11 @@
 //! macro-switch abstraction promised, which blunts the `1/n` starvation of
 //! Theorem 4.3 (see the `weighted_rescues_theorem_4_3` test and example
 //! E9 discussion).
+//!
+//! The filling itself is the compiled waterfill's, fed weighted entries
+//! ([`WaterfillScratch::push_weighted_flow`](crate::WaterfillScratch::push_weighted_flow));
+//! this module holds the allocating wrapper and the independent weighted
+//! bottleneck certificate.
 
 use clos_net::{Flow, FlowId, Network, Routing};
 use clos_rational::Scalar;
@@ -22,7 +27,8 @@ use crate::{Allocation, FairnessError};
 /// All rates rise as `w_f · λ` for a common level `λ`; when a link
 /// saturates, the flows crossing it freeze. Weights must be strictly
 /// positive. With all weights equal this reduces exactly to
-/// [`max_min_fair`].
+/// [`max_min_fair`]; like it, this is a compile-describe-run wrapper over
+/// the [`compiled`](crate::compiled) waterfill.
 ///
 /// # Errors
 ///
@@ -62,110 +68,9 @@ pub fn max_min_fair_weighted<S: Scalar>(
     routing: &Routing,
     weights: &[S],
 ) -> Result<Allocation<S>, FairnessError> {
-    assert_eq!(routing.len(), flows.len(), "routing/flows length mismatch");
     assert_eq!(weights.len(), flows.len(), "weights/flows length mismatch");
-    assert!(
-        weights.iter().all(|w| *w > S::zero()),
-        "weights must be strictly positive"
-    );
-
-    // Only finite links can bottleneck flows; as in the unweighted
-    // waterfill, the loop below works on a dense array of just those
-    // links so link capacities are plain values, never `Option`s.
-    let mut dense_of_link: Vec<Option<usize>> = vec![None; net.link_count()];
-    let mut finite_caps: Vec<S> = Vec::new();
-    for link in net.links() {
-        if let Some(cap) = link.capacity().finite() {
-            dense_of_link[link.id().index()] = Some(finite_caps.len());
-            finite_caps.push(S::from_rational(cap));
-        }
-    }
-
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); finite_caps.len()];
-    let mut finite_links_of_flow: Vec<Vec<usize>> = vec![Vec::new(); flows.len()];
-    for (i, path) in routing.paths().iter().enumerate() {
-        for &e in path.links() {
-            let e = e.index();
-            assert!(e < net.link_count(), "path references foreign link");
-            if let Some(d) = dense_of_link[e] {
-                members[d].push(i);
-                finite_links_of_flow[i].push(d);
-            }
-        }
-    }
-    for (i, links) in finite_links_of_flow.iter().enumerate() {
-        if links.is_empty() {
-            return Err(FairnessError::UnboundedRate(FlowId::from(i)));
-        }
-    }
-
-    let mut rates = vec![S::zero(); flows.len()];
-    let mut frozen = vec![false; flows.len()];
-    // Per-link: sum of weights of unfrozen member flows, and frozen load.
-    let mut active_weight: Vec<S> = vec![S::zero(); finite_caps.len()];
-    for (d, ms) in members.iter().enumerate() {
-        for &f in ms {
-            active_weight[d] += weights[f];
-        }
-    }
-    let mut frozen_load: Vec<S> = vec![S::zero(); finite_caps.len()];
-    let mut remaining = flows.len();
-
-    while remaining > 0 {
-        let mut level: Option<S> = None;
-        for d in 0..finite_caps.len() {
-            if active_weight[d] <= S::zero() || members[d].is_empty() {
-                continue;
-            }
-            // Skip links whose members are all frozen.
-            if members[d].iter().all(|&f| frozen[f]) {
-                continue;
-            }
-            let residual = if finite_caps[d] > frozen_load[d] {
-                finite_caps[d] - frozen_load[d]
-            } else {
-                S::zero()
-            };
-            let l = residual / active_weight[d];
-            level = Some(match level {
-                None => l,
-                Some(best) => best.min(l),
-            });
-        }
-        // Every unfrozen flow touches a finite link (checked above), so
-        // while `remaining > 0` some link still has an unfrozen member.
-        let level = level.expect("invariant: unfrozen flows always touch a finite link");
-
-        let mut newly_frozen = Vec::new();
-        for d in 0..finite_caps.len() {
-            if members[d].iter().all(|&f| frozen[f]) {
-                continue;
-            }
-            let residual = if finite_caps[d] > frozen_load[d] {
-                finite_caps[d] - frozen_load[d]
-            } else {
-                S::zero()
-            };
-            if residual / active_weight[d] == level {
-                for &f in &members[d] {
-                    if !frozen[f] {
-                        frozen[f] = true;
-                        rates[f] = weights[f] * level;
-                        newly_frozen.push(f);
-                    }
-                }
-            }
-        }
-        debug_assert!(!newly_frozen.is_empty(), "progress each round");
-        for &f in &newly_frozen {
-            for &d in &finite_links_of_flow[f] {
-                active_weight[d] -= weights[f];
-                frozen_load[d] += rates[f];
-            }
-            remaining -= 1;
-        }
-    }
-    Ok(Allocation::from_rates(rates))
+    let (_, scratch) = crate::waterfill::compile_and_run(net, flows, routing, Some(weights))?;
+    Ok(Allocation::from_rates(scratch.rates().to_vec()))
 }
 
 /// Verifies the weighted bottleneck property — the Lemma 2.2 analogue for
@@ -178,7 +83,7 @@ pub fn max_min_fair_weighted<S: Scalar>(
 /// # Errors
 ///
 /// Returns the first violation (an overloaded link, or a flow with no
-/// weighted bottleneck), reusing [`BottleneckViolation`].
+/// weighted bottleneck), reusing [`BottleneckViolation`](crate::BottleneckViolation).
 ///
 /// # Panics
 ///

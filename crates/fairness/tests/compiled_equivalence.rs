@@ -296,3 +296,88 @@ proptest! {
         assert_multiplicity_exact::<TotalF64>(&clos, &entries, &order);
     }
 }
+
+/// Runs `entries` in order through one scratch, describing entry `i`,
+/// `(links, k)`, with `push(scratch, i, links, k)`. Returns per-entry
+/// `(rate, bottleneck)` pairs in push order, plus the run's levels.
+fn run_weighted<S: Scalar>(
+    instance: &WaterfillInstance<S>,
+    entries: &[Entry],
+    push: impl Fn(&mut WaterfillScratch<S>, usize, &[usize], usize),
+) -> (Vec<(S, usize)>, Vec<S>) {
+    let mut scratch = WaterfillScratch::new();
+    scratch.begin();
+    for (i, (links, k)) in entries.iter().enumerate() {
+        push(&mut scratch, i, links, *k);
+    }
+    instance.run(&mut scratch);
+    let results = scratch
+        .rates()
+        .iter()
+        .copied()
+        .zip(scratch.bottlenecks().iter().copied())
+        .collect();
+    (results, scratch.levels().to_vec())
+}
+
+/// Asserts that unit-weight entries reproduce `push_flow` bit for bit.
+fn assert_unit_weights_exact<S: Scalar>(clos: &ClosNetwork, entries: &[Entry]) {
+    let instance = WaterfillInstance::<S>::compile(clos.network());
+    let plain = run_weighted(&instance, entries, |s, _, links, _| s.push_flow(links));
+    let weighted = run_weighted(&instance, entries, |s, _, links, _| {
+        s.push_weighted_flow(links, S::one());
+    });
+    assert_eq!(weighted, plain, "unit-weight entries diverged");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Weight-one entries are plain entries: rates, levels, and
+    /// bottlenecks are bit-identical in both scalars.
+    #[test]
+    fn unit_weights_equal_plain_entries(raw in weighted_entries(3, 10)) {
+        let clos = ClosNetwork::standard(3);
+        let (entries, _) = entries_and_order(&clos, &raw);
+        assert_unit_weights_exact::<Rational>(&clos, &entries);
+        assert_unit_weights_exact::<TotalF64>(&clos, &entries);
+    }
+
+    /// In exact arithmetic an entry of integer weight `k` fills like `k`
+    /// flows squeezed into one: identical levels and bottlenecks, and
+    /// exactly `k` times the rate of a multiplicity-`k` entry (whose rate
+    /// is per flow) — also when both kinds share one description.
+    #[test]
+    fn integer_weight_is_multiplicity_times_rate(raw in weighted_entries(3, 10)) {
+        let clos = ClosNetwork::standard(3);
+        let (entries, _) = entries_and_order(&clos, &raw);
+        let instance = WaterfillInstance::<Rational>::compile(clos.network());
+        let weight = |k: usize| Rational::from_integer(k as i128);
+        let (per_flow, multiplied_levels) = run_weighted(&instance, &entries, |s, _, links, k| {
+            s.push_flows(links, k);
+        });
+        let (weighted, weighted_levels) = run_weighted(&instance, &entries, |s, _, links, k| {
+            s.push_weighted_flow(links, weight(k));
+        });
+        prop_assert_eq!(&weighted_levels, &multiplied_levels);
+        for (((rate, bottleneck), (flow_rate, flow_bottleneck)), (_, k)) in
+            weighted.iter().zip(&per_flow).zip(&entries)
+        {
+            prop_assert_eq!(*rate, *flow_rate * weight(*k));
+            prop_assert_eq!(bottleneck, flow_bottleneck);
+        }
+        // Alternate the two kinds within one description.
+        let (mixed, mixed_levels) = run_weighted(&instance, &entries, |s, i, links, k| {
+            if i % 2 == 1 {
+                s.push_weighted_flow(links, weight(k));
+            } else {
+                s.push_flows(links, k);
+            }
+        });
+        prop_assert_eq!(&mixed_levels, &multiplied_levels);
+        for (i, entry) in mixed.iter().enumerate() {
+            let expected = if i % 2 == 1 { weighted[i] } else { per_flow[i] };
+            prop_assert_eq!(*entry, expected);
+        }
+    }
+}

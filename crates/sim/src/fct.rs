@@ -13,9 +13,15 @@
 //! * [`Transport::Scheduling`] — flows are admitted in arrival order
 //!   whenever their whole path is idle and then run at full link rate;
 //!   blocked flows wait.
+//!
+//! Arrivals and departures are events of one [`ChurnEngine`] per run (the
+//! flow-level model of Shah & Xie, arXiv 1710.02548), which places each
+//! flow with its greedy online policy. Fair sharing reads rates after an
+//! engine flush, bit-identical to a per-flow recompute and checked against
+//! one in debug builds.
 
-use clos_fairness::max_min_fair;
-use clos_net::{ClosNetwork, Flow, Routing};
+use clos_churn::{ChurnConfig, ChurnEngine, FlowEvent, OnlinePolicy};
+use clos_net::{ClosNetwork, Flow};
 use clos_rational::TotalF64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,17 +92,6 @@ pub enum Transport {
     Scheduling,
 }
 
-/// How an arriving flow picks its middle switch.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum PathPolicy {
-    /// Uniformly random (ECMP).
-    Random,
-    /// The middle switch whose uplink+downlink currently carry the fewest
-    /// active flows.
-    LeastLoaded,
-}
-
 /// Configuration of an FCT simulation run.
 #[derive(Clone, Copy, PartialEq, Debug)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -107,7 +102,7 @@ pub struct FctConfig {
     pub size_dist: SizeDist,
     /// Number of flows to generate.
     pub flow_count: usize,
-    /// Random seed (arrivals, sizes, endpoints, ECMP choices).
+    /// Random seed (arrivals, sizes, endpoints).
     pub seed: u64,
 }
 
@@ -144,12 +139,13 @@ pub struct FctStats {
 }
 
 struct Active {
+    /// Engine key: the flow's arrival sequence number.
+    key: u64,
     flow: Flow,
     middle: usize,
     remaining: f64,
     arrival: f64,
     size: f64,
-    seq: usize,
 }
 
 /// The fate of one simulated flow.
@@ -175,9 +171,10 @@ impl FlowRecord {
 /// Runs a flow-level FCT simulation on `clos`.
 ///
 /// Arrivals are Poisson with uniformly random source–destination pairs;
-/// each arrival immediately picks a middle switch per `policy` and keeps it
-/// for life (unsplittable flows, no re-routing). Rates follow `transport`
-/// and are piecewise-constant between events.
+/// each arrival immediately takes the middle switch the churn engine's
+/// greedy policy picks and keeps it for life (unsplittable flows, no
+/// re-routing). Rates follow `transport` and are piecewise-constant
+/// between events.
 ///
 /// # Panics
 ///
@@ -188,7 +185,7 @@ impl FlowRecord {
 ///
 /// ```
 /// use clos_net::ClosNetwork;
-/// use clos_sim::{simulate_fct, FctConfig, PathPolicy, SizeDist, Transport};
+/// use clos_sim::{simulate_fct, FctConfig, SizeDist, Transport};
 ///
 /// let clos = ClosNetwork::standard(2);
 /// let config = FctConfig {
@@ -197,18 +194,13 @@ impl FlowRecord {
 ///     flow_count: 50,
 ///     seed: 7,
 /// };
-/// let stats = simulate_fct(&clos, &config, Transport::FairSharing, PathPolicy::LeastLoaded);
+/// let stats = simulate_fct(&clos, &config, Transport::FairSharing);
 /// assert_eq!(stats.completed, 50);
 /// assert!(stats.mean_fct >= 1.0); // a size-1 flow needs at least 1 time unit
 /// ```
 #[must_use]
-pub fn simulate_fct(
-    clos: &ClosNetwork,
-    config: &FctConfig,
-    transport: Transport,
-    policy: PathPolicy,
-) -> FctStats {
-    simulate_fct_records(clos, config, transport, policy).0
+pub fn simulate_fct(clos: &ClosNetwork, config: &FctConfig, transport: Transport) -> FctStats {
+    simulate_fct_records(clos, config, transport).0
 }
 
 /// Like [`simulate_fct`], additionally returning the per-flow records
@@ -223,13 +215,11 @@ pub fn simulate_fct_records(
     clos: &ClosNetwork,
     config: &FctConfig,
     transport: Transport,
-    policy: PathPolicy,
 ) -> (FctStats, Vec<FlowRecord>) {
     assert!(config.flow_count > 0, "flow_count must be positive");
     assert!(config.arrival_rate > 0.0, "arrival rate must be positive");
     let mut rng = StdRng::seed_from_u64(config.seed);
     let hosts = clos.tor_count() * clos.hosts_per_tor();
-    let n = clos.middle_count();
 
     // Pre-generate the arrival process.
     let mut arrivals = Vec::with_capacity(config.flow_count);
@@ -244,32 +234,42 @@ pub fn simulate_fct_records(
         arrivals.push((t_arr, src, dst, size, seq));
     }
 
+    // One engine per run, keyed by arrival sequence. It never flushes on
+    // its own: fair sharing flushes before each rate read, scheduling only
+    // uses its placements.
+    let mut engine = ChurnEngine::<TotalF64>::new(
+        clos.clone(),
+        OnlinePolicy::greedy(),
+        ChurnConfig {
+            batch: usize::MAX,
+            verify: cfg!(debug_assertions),
+        },
+    );
     let mut active: Vec<Active> = Vec::new();
     let mut records: Vec<FlowRecord> = Vec::new();
     let mut now = 0.0f64;
     let mut next_arrival = 0usize;
     let mut makespan = 0.0f64;
 
-    let compute_rates = |active: &[Active]| -> Vec<f64> {
+    let compute_rates = |engine: &mut ChurnEngine<TotalF64>, active: &[Active]| -> Vec<f64> {
         match transport {
             Transport::FairSharing => {
-                if active.is_empty() {
-                    return Vec::new();
-                }
-                let flows: Vec<Flow> = active.iter().map(|a| a.flow).collect();
-                let routing: Routing = active
+                engine.flush();
+                active
                     .iter()
-                    .map(|a| clos.path_via(a.flow, a.middle))
-                    .collect();
-                let alloc = max_min_fair::<TotalF64>(clos.network(), &flows, &routing)
-                    .expect("Clos links are finite");
-                alloc.rates().iter().map(|r| r.get()).collect()
+                    .map(|a| {
+                        engine
+                            .rate(a.key)
+                            .expect("active flows are live in the engine")
+                            .get()
+                    })
+                    .collect()
             }
             Transport::Scheduling => {
                 // FIFO admission: scan in arrival order, admit flows whose
                 // entire path is free of admitted flows.
                 let mut order: Vec<usize> = (0..active.len()).collect();
-                order.sort_by_key(|&i| active[i].seq);
+                order.sort_by_key(|&i| active[i].key);
                 let mut used = vec![false; clos.network().link_count()];
                 let mut rates = vec![0.0; active.len()];
                 for &i in &order {
@@ -291,7 +291,7 @@ pub fn simulate_fct_records(
         if active.is_empty() && next_arrival == arrivals.len() {
             break;
         }
-        let rates = compute_rates(&active);
+        let rates = compute_rates(&mut engine, &active);
         // Next completion among flows with positive rate.
         let mut dt_complete = f64::INFINITY;
         for (a, &r) in active.iter().zip(&rates) {
@@ -321,6 +321,7 @@ pub fn simulate_fct_records(
             while i < active.len() {
                 if active[i].remaining <= EPS * active[i].size.max(1.0) {
                     let a = active.swap_remove(i);
+                    engine.apply(FlowEvent::Depart { key: a.key });
                     makespan = makespan.max(now);
                     records.push(FlowRecord {
                         arrival: a.arrival,
@@ -335,40 +336,24 @@ pub fn simulate_fct_records(
         if dt_arrival <= dt_complete && next_arrival < arrivals.len() {
             let (t, src, dst, size, seq) = arrivals[next_arrival];
             debug_assert!(t <= now + EPS, "arrival handled at its timestamp");
-            {
-                next_arrival += 1;
-                let flow = Flow::new(
-                    clos.source(src / clos.hosts_per_tor(), src % clos.hosts_per_tor()),
-                    clos.destination(dst / clos.hosts_per_tor(), dst % clos.hosts_per_tor()),
-                );
-                let middle = match policy {
-                    PathPolicy::Random => rng.gen_range(0..n),
-                    PathPolicy::LeastLoaded => {
-                        let src_tor = clos.src_tor(flow);
-                        let dst_tor = clos.dst_tor(flow);
-                        let mut counts = vec![0usize; n];
-                        for a in &active {
-                            let a_src = clos.src_tor(a.flow);
-                            let a_dst = clos.dst_tor(a.flow);
-                            if a_src == src_tor {
-                                counts[a.middle] += 1;
-                            }
-                            if a_dst == dst_tor {
-                                counts[a.middle] += 1;
-                            }
-                        }
-                        (0..n).min_by_key(|&m| (counts[m], m)).expect("n >= 1")
-                    }
-                };
-                active.push(Active {
-                    flow,
-                    middle,
-                    remaining: size,
-                    arrival: now,
-                    size,
-                    seq,
-                });
-            }
+            next_arrival += 1;
+            let flow = Flow::new(
+                clos.source(src / clos.hosts_per_tor(), src % clos.hosts_per_tor()),
+                clos.destination(dst / clos.hosts_per_tor(), dst % clos.hosts_per_tor()),
+            );
+            let key = seq as u64;
+            engine.apply(FlowEvent::Arrive { key, flow });
+            let middle = engine
+                .class_of(key)
+                .expect("an arrived flow is live in the engine");
+            active.push(Active {
+                key,
+                flow,
+                middle,
+                remaining: size,
+                arrival: now,
+                size,
+            });
         }
     }
 
@@ -409,15 +394,13 @@ mod tests {
         let clos = ClosNetwork::standard(2);
         let cfg = base_config();
         for transport in [Transport::FairSharing, Transport::Scheduling] {
-            for policy in [PathPolicy::Random, PathPolicy::LeastLoaded] {
-                let stats = simulate_fct(&clos, &cfg, transport, policy);
-                assert_eq!(stats.completed, cfg.flow_count, "{transport:?}/{policy:?}");
-                assert!(stats.mean_fct >= 1.0 - 1e-9);
-                assert!(stats.p99_fct >= stats.p50_fct);
-                assert!(stats.max_fct >= stats.p99_fct);
-                assert!(stats.makespan > 0.0);
-                assert!(stats.mean_slowdown >= 1.0 - 1e-9);
-            }
+            let stats = simulate_fct(&clos, &cfg, transport);
+            assert_eq!(stats.completed, cfg.flow_count, "{transport:?}");
+            assert!(stats.mean_fct >= 1.0 - 1e-9);
+            assert!(stats.p99_fct >= stats.p50_fct);
+            assert!(stats.max_fct >= stats.p99_fct);
+            assert!(stats.makespan > 0.0);
+            assert!(stats.mean_slowdown >= 1.0 - 1e-9);
         }
     }
 
@@ -425,8 +408,8 @@ mod tests {
     fn simulation_is_seed_deterministic() {
         let clos = ClosNetwork::standard(2);
         let cfg = base_config();
-        let a = simulate_fct(&clos, &cfg, Transport::FairSharing, PathPolicy::Random);
-        let b = simulate_fct(&clos, &cfg, Transport::FairSharing, PathPolicy::Random);
+        let a = simulate_fct(&clos, &cfg, Transport::FairSharing);
+        let b = simulate_fct(&clos, &cfg, Transport::FairSharing);
         assert_eq!(a, b);
     }
 
@@ -440,7 +423,7 @@ mod tests {
             flow_count: 20,
             seed: 3,
         };
-        let stats = simulate_fct(&clos, &cfg, Transport::FairSharing, PathPolicy::LeastLoaded);
+        let stats = simulate_fct(&clos, &cfg, Transport::FairSharing);
         assert!((stats.mean_fct - 2.0).abs() < 1e-6);
         assert!((stats.mean_slowdown - 1.0).abs() < 1e-6);
     }
@@ -454,8 +437,8 @@ mod tests {
             flow_count: 20,
             seed: 5,
         };
-        let fair = simulate_fct(&clos, &cfg, Transport::FairSharing, PathPolicy::LeastLoaded);
-        let sched = simulate_fct(&clos, &cfg, Transport::Scheduling, PathPolicy::LeastLoaded);
+        let fair = simulate_fct(&clos, &cfg, Transport::FairSharing);
+        let sched = simulate_fct(&clos, &cfg, Transport::Scheduling);
         assert!((fair.mean_fct - sched.mean_fct).abs() < 1e-6);
     }
 
@@ -471,8 +454,8 @@ mod tests {
             flow_count: 300,
             seed: 23,
         };
-        let fair = simulate_fct(&clos, &cfg, Transport::FairSharing, PathPolicy::LeastLoaded);
-        let sched = simulate_fct(&clos, &cfg, Transport::Scheduling, PathPolicy::LeastLoaded);
+        let fair = simulate_fct(&clos, &cfg, Transport::FairSharing);
+        let sched = simulate_fct(&clos, &cfg, Transport::Scheduling);
         assert!(
             sched.mean_fct < fair.mean_fct,
             "scheduling {} should beat fair sharing {}",
@@ -524,7 +507,7 @@ mod tests {
             flow_count: 150,
             seed: 31,
         };
-        let stats = simulate_fct(&clos, &cfg, Transport::FairSharing, PathPolicy::Random);
+        let stats = simulate_fct(&clos, &cfg, Transport::FairSharing);
         assert_eq!(stats.completed, 150);
     }
 
@@ -541,8 +524,7 @@ mod tests {
             flow_count: 200,
             seed: 9,
         };
-        let (stats, records) =
-            simulate_fct_records(&clos, &cfg, Transport::FairSharing, PathPolicy::LeastLoaded);
+        let (stats, records) = simulate_fct_records(&clos, &cfg, Transport::FairSharing);
         assert_eq!(records.len(), stats.completed);
         // Stats are derived from records.
         let mean = records.iter().map(|r| r.fct).sum::<f64>() / records.len() as f64;
@@ -569,6 +551,6 @@ mod tests {
             flow_count: 0,
             seed: 0,
         };
-        let _ = simulate_fct(&clos, &cfg, Transport::FairSharing, PathPolicy::Random);
+        let _ = simulate_fct(&clos, &cfg, Transport::FairSharing);
     }
 }

@@ -11,18 +11,18 @@
 //! * [`fct`] — the scheduling discussion of §7 (R1): a discrete-event
 //!   flow-level simulator measuring flow completion times under max-min
 //!   fair congestion control versus an admission-control scheduler that
-//!   serializes flows at full link rate.
+//!   serializes flows at full link rate. Arrivals and departures drive a
+//!   `clos-churn` engine, which places flows and maintains the fair rates.
 //!
-//! Both run the same water-filling allocator as the exact theorem
-//! machinery, instantiated at `TotalF64` for speed.
+//! Both run the same compiled water-filling allocator as the exact
+//! theorem machinery, instantiated at `TotalF64` for speed.
 
 pub mod fct;
 pub mod rate_study;
 pub mod utilization;
 
 pub use crate::fct::{
-    simulate_fct, simulate_fct_records, FctConfig, FctStats, FlowRecord, PathPolicy, SizeDist,
-    Transport,
+    simulate_fct, simulate_fct_records, FctConfig, FctStats, FlowRecord, SizeDist, Transport,
 };
 pub use crate::rate_study::{rate_ratio_study, summarize, RateStudy, RatioSummary};
 pub use crate::utilization::{utilization, UtilizationReport};

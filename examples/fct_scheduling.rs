@@ -7,7 +7,7 @@
 
 use clos_bench::table::Table;
 use clos_net::ClosNetwork;
-use clos_sim::{simulate_fct, FctConfig, PathPolicy, SizeDist, Transport};
+use clos_sim::{simulate_fct, FctConfig, SizeDist, Transport};
 
 fn main() {
     let clos = ClosNetwork::standard(2);
@@ -33,7 +33,7 @@ fn main() {
                 seed: 17,
             };
             for transport in [Transport::FairSharing, Transport::Scheduling] {
-                let stats = simulate_fct(&clos, &config, transport, PathPolicy::LeastLoaded);
+                let stats = simulate_fct(&clos, &config, transport);
                 table.row(vec![
                     format!("{load:.1}"),
                     label.to_string(),
@@ -48,7 +48,7 @@ fn main() {
             }
         }
     }
-    println!("FCT on C_2, Poisson arrivals, least-loaded path selection:\n");
+    println!("FCT on C_2, Poisson arrivals, greedy online path selection:\n");
     println!("{}", table.render());
     println!("As §7 argues, once the fabric saturates, delaying some flows so");
     println!("others run at link rate (scheduling) beats max-min fair sharing");

@@ -6,7 +6,7 @@ use clos_core::routers::{macro_demands, EcmpRouter, GreedyRouter, LocalSearchRou
 use clos_fairness::{is_feasible, max_min_fair, verify_bottleneck_property};
 use clos_net::{validate_flows, ClosNetwork, MacroSwitch};
 use clos_rational::{Rational, TotalF64};
-use clos_sim::{rate_ratio_study, simulate_fct, FctConfig, PathPolicy, SizeDist, Transport};
+use clos_sim::{rate_ratio_study, simulate_fct, FctConfig, SizeDist, Transport};
 use clos_workloads::Workload;
 
 fn all_workloads(clos: &ClosNetwork) -> Vec<Workload> {
@@ -123,8 +123,8 @@ fn fct_transports_complete_identical_workloads() {
         flow_count: 150,
         seed: 77,
     };
-    let fair = simulate_fct(&clos, &config, Transport::FairSharing, PathPolicy::Random);
-    let sched = simulate_fct(&clos, &config, Transport::Scheduling, PathPolicy::Random);
+    let fair = simulate_fct(&clos, &config, Transport::FairSharing);
+    let sched = simulate_fct(&clos, &config, Transport::Scheduling);
     assert_eq!(fair.completed, 150);
     assert_eq!(sched.completed, 150);
     // Scheduling at full rate can't finish earlier than the last arrival's
