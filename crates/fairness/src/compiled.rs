@@ -15,14 +15,25 @@
 //!   all held in flat buffers that are *cleared, never reallocated*
 //!   between runs.
 //!
-//! [`WaterfillInstance::run`] then performs the exact water-filling
-//! iteration of [`max_min_fair_traced`] — same link order, same freezing
-//! order, same arithmetic — with **zero heap allocations** once the
-//! scratch has warmed up to the instance size. The public
+//! [`WaterfillInstance::run`] is the workspace's one progressive-filling
+//! loop, and it performs **zero heap allocations** once the scratch has
+//! warmed up to the instance size. The public
 //! [`max_min_fair`]/[`max_min_fair_traced`]/[`max_min_fair_weighted`]
-//! functions are thin compile-then-run wrappers over this module, so
-//! results are identical by construction (and pinned by the
-//! `compiled_equivalence` test suite).
+//! functions are thin compile-then-run wrappers over it.
+//!
+//! # The round loop
+//!
+//! Each round costs one pass over the links that still carry unfrozen
+//! flows, not two passes over every link. The run keeps those links in an
+//! ascending list (compacted only on rounds that empty a link) and caches
+//! every link's saturation level, refreshing it right after a round's
+//! update pass touches the link. One scan then finds the minimum level and
+//! the links at it, in ascending order, and the round freezes from that
+//! list. Bottleneck order, the adds, and the divisions are those of
+//! textbook progressive filling — every round recomputes every level and
+//! makes two full passes in link order — so rates, levels, and bottlenecks
+//! are bit-identical to it in every scalar mode. The `compiled_equivalence`
+//! test suite checks that against a plain reference implementation.
 //!
 //! # Multiplicities
 //!
@@ -198,10 +209,11 @@ impl<S: Scalar> WaterfillInstance<S> {
     /// Water-fills the flow collection described in `scratch` (via
     /// [`WaterfillScratch::begin`]/[`WaterfillScratch::push_flow`]),
     /// leaving rates, fill levels, and bottlenecks readable from the
-    /// scratch. The iteration is element-for-element identical to
-    /// [`max_min_fair_traced`](crate::max_min_fair_traced), so rates agree
-    /// bit-for-bit in every scalar mode; after one warm-up run per
-    /// instance size it performs no heap allocations.
+    /// scratch. Rates, levels, and bottlenecks are bit-identical to
+    /// textbook progressive filling in every scalar mode (see the module
+    /// docs' round loop and the `compiled_equivalence` reference test);
+    /// after one warm-up run per instance size it performs no heap
+    /// allocations.
     ///
     /// # Panics
     ///
@@ -289,66 +301,65 @@ impl<S: Scalar> WaterfillInstance<S> {
         s.levels.reserve(flows);
         s.newly_frozen.clear();
         s.newly_frozen.reserve(flows);
-        // A link's saturation level only changes when the round's update
-        // pass touches the link, so levels are cached and recomputed for
-        // stale links only — the cached value is the value a recomputation
-        // would produce (identical inputs), so results stay bit-identical
-        // in every scalar mode while the exact-arithmetic divisions drop
-        // from links-per-round to touched-links-per-round.
+        s.active_links.clear();
+        s.active_links.reserve(links);
+        s.at_minimum.clear();
+        s.at_minimum.reserve(links);
+        s.touched.clear();
+        s.touched.reserve(links);
+        // Every link's level is cached; a round refreshes only the links
+        // its update pass touched. A link's inputs change only there, so
+        // the cached value is the one a recomputation would produce and
+        // the divisions drop from links-per-round to touched-links.
         s.link_level.clear();
         s.link_level.resize(links, S::zero());
         s.stale.clear();
-        s.stale.resize(links, true);
+        s.stale.resize(links, false);
+        for d in 0..links {
+            if s.active_count[d] > 0 {
+                s.link_level[d] = self.level(s, d, weighted);
+                s.active_links.push(d);
+            }
+        }
         let mut remaining = flows;
 
         while remaining > 0 {
-            // Minimum saturation level over links with active flows. Every
-            // unfrozen flow touches a compiled link (the caller contract),
-            // so while `remaining > 0` some link has `active_count > 0`.
+            // One scan over the links that still carry unfrozen flows
+            // finds the minimum level and the links at it, ascending.
+            // Every unfrozen flow touches a compiled link (the caller
+            // contract), so while `remaining > 0` the list is not empty.
             let mut min_level: Option<S> = None;
-            for d in 0..links {
-                if s.active_count[d] == 0 {
-                    continue;
-                }
-                if s.stale[d] {
-                    let active = if weighted {
-                        s.active_weight[d]
-                    } else {
-                        S::from_usize(s.active_count[d])
-                    };
-                    s.link_level[d] =
-                        saturation_level(self.capacities[d], s.frozen_load[d], active);
-                    s.stale[d] = false;
-                }
+            s.at_minimum.clear();
+            for &d in &s.active_links {
                 let l = s.link_level[d];
-                min_level = Some(match min_level {
-                    None => l,
-                    Some(m) => S::min(m, l),
-                });
+                match min_level {
+                    Some(m) if l > m => {}
+                    Some(m) if l == m => s.at_minimum.push(d),
+                    _ => {
+                        min_level = Some(l);
+                        s.at_minimum.clear();
+                        s.at_minimum.push(d);
+                    }
+                }
             }
             let level =
                 min_level.expect("invariant: unfrozen flows always touch a compiled finite link");
 
             // Freeze every active flow on every link saturating at `level`.
             s.newly_frozen.clear();
-            for d in 0..links {
-                if s.active_count[d] == 0 {
-                    continue;
-                }
-                if s.link_level[d] == level {
-                    counters::WATERFILL_SATURATIONS.incr();
-                    for k in s.member_starts[d]..s.member_starts[d + 1] {
-                        let f = s.members[k];
-                        if !s.frozen[f] {
-                            s.frozen[f] = true;
-                            s.rates[f] = if weighted {
-                                s.weights[f] * level
-                            } else {
-                                level
-                            };
-                            s.bottleneck_of[f] = d;
-                            s.newly_frozen.push(f);
-                        }
+            for &d in &s.at_minimum {
+                counters::WATERFILL_SATURATIONS.incr();
+                for k in s.member_starts[d]..s.member_starts[d + 1] {
+                    let f = s.members[k];
+                    if !s.frozen[f] {
+                        s.frozen[f] = true;
+                        s.rates[f] = if weighted {
+                            s.weights[f] * level
+                        } else {
+                            level
+                        };
+                        s.bottleneck_of[f] = d;
+                        s.newly_frozen.push(f);
                     }
                 }
             }
@@ -372,24 +383,46 @@ impl<S: Scalar> WaterfillInstance<S> {
                             s.active_weight[d] -= s.weights[f];
                         }
                     }
-                    s.stale[d] = true;
+                    if !s.stale[d] {
+                        s.stale[d] = true;
+                        s.touched.push(d);
+                    }
                 }
                 remaining -= 1;
             }
+            // Refresh the touched links' levels; drop emptied links from
+            // the active list (in place, keeping it ascending).
+            let mut emptied = false;
+            for i in 0..s.touched.len() {
+                let d = s.touched[i];
+                s.stale[d] = false;
+                if s.active_count[d] > 0 {
+                    s.link_level[d] = self.level(s, d, weighted);
+                } else {
+                    emptied = true;
+                }
+            }
+            s.touched.clear();
+            if emptied {
+                let active_count = &s.active_count;
+                s.active_links.retain(|&d| active_count[d] > 0);
+            }
         }
     }
-}
 
-/// Residual capacity per unit of active weight (per active flow when
-/// unweighted) — the fill level at which the link saturates if no other
-/// link freezes its members first.
-fn saturation_level<S: Scalar>(cap: S, frozen_load: S, active: S) -> S {
-    let residual = if cap > frozen_load {
-        cap - frozen_load
-    } else {
-        S::zero()
-    };
-    residual / active
+    /// Link `d`'s residual capacity per unit of active weight (per active
+    /// flow when unweighted) — the fill level at which it saturates if no
+    /// other link freezes its members first.
+    fn level(&self, s: &WaterfillScratch<S>, d: usize, weighted: bool) -> S {
+        let (cap, load) = (self.capacities[d], s.frozen_load[d]);
+        let residual = if cap > load { cap - load } else { S::zero() };
+        let active = if weighted {
+            s.active_weight[d]
+        } else {
+            S::from_usize(s.active_count[d])
+        };
+        residual / active
+    }
 }
 
 /// The routing-dependent half of water-filling: every buffer the
@@ -429,11 +462,17 @@ pub struct WaterfillScratch<S> {
     active_weight: Vec<S>,
     /// Per-link load already committed by frozen flows.
     frozen_load: Vec<S>,
-    /// Cached per-link saturation level (valid where `stale` is false).
+    /// Cached per-link saturation level of every active link.
     link_level: Vec<S>,
-    /// Per-link flag: the cached level must be recomputed (set when the
-    /// update pass touches the link).
+    /// Per-link flag: the current round's update pass touched the link
+    /// (dedupes `touched`).
     stale: Vec<bool>,
+    /// Links that still carry unfrozen flows, ascending.
+    active_links: Vec<usize>,
+    /// Active links at the current round's level, ascending.
+    at_minimum: Vec<usize>,
+    /// Links the current round's update pass touched, each once.
+    touched: Vec<usize>,
     /// Fill level of each freezing round (the trace).
     levels: Vec<S>,
     /// Per-flow dense index of the link that froze it (the bottleneck).
@@ -462,6 +501,9 @@ impl<S: Scalar> WaterfillScratch<S> {
             frozen_load: Vec::new(),
             link_level: Vec::new(),
             stale: Vec::new(),
+            active_links: Vec::new(),
+            at_minimum: Vec::new(),
+            touched: Vec::new(),
             levels: Vec::new(),
             bottleneck_of: Vec::new(),
             warm: false,

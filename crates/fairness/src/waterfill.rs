@@ -51,7 +51,8 @@ impl Error for FairnessError {}
 /// with a bottleneck link (Lemma 2.2; checked by
 /// [`verify_bottleneck_property`]).
 ///
-/// Runs in `O(L² + F·P)` for `L` links, `F` flows, and path length `P`.
+/// Runs in `O(R·A + F·P)` for `R` freezing rounds, `A` links still
+/// carrying unfrozen flows, `F` flows, and path length `P`.
 /// Generic over [`Scalar`]: exact with `Rational`, fast with `TotalF64`.
 ///
 /// # Errors

@@ -1,17 +1,17 @@
-//! Equivalence of the compiled evaluation pipeline and the allocating
-//! wrapper.
+//! Equivalence of the compiled water-filling loop with progressive filling.
 //!
-//! The branch-and-bound engine evaluates routings through a
-//! [`WaterfillInstance`] compiled once plus a [`WaterfillScratch`] reused
-//! across evaluations; `max_min_fair_traced` compiles afresh per call.
-//! These tests pin the refactoring contract: for any instance and any
-//! assignment sequence, the compiled-scratch path produces *exactly* the
-//! same rates, water-filling levels, and bottleneck links as a fresh
-//! allocating call — in exact `Rational` arithmetic and in `TotalF64`,
-//! where "equal" means bit-equal, not approximately equal.
+//! [`WaterfillInstance::run`] is the only water-filling loop in the
+//! workspace: `max_min_fair_traced` and the other wrappers compile and call
+//! it, so the "compiled equals fresh" tests below pin the wrapper's
+//! translation (dense indices, scratch reuse), not the loop. The loop itself
+//! is checked against [`reference_fill`], textbook progressive filling
+//! written plainly: every round recomputes every link's level, then makes
+//! two full passes in link order. Everything is compared exactly — in
+//! `Rational` and in `TotalF64`, where "equal" means bit-equal, because
+//! both sides perform the same floating-point operations in the same order.
 
 use clos_fairness::{max_min_fair_traced, WaterfillInstance, WaterfillScratch};
-use clos_net::{ClosNetwork, Flow, LinkId, Routing};
+use clos_net::{Capacity, ClosNetwork, Flow, LinkId, Routing};
 use clos_rational::{Rational, Scalar, TotalF64};
 use proptest::prelude::*;
 
@@ -379,5 +379,216 @@ proptest! {
             let expected = if i % 2 == 1 { weighted[i] } else { per_flow[i] };
             prop_assert_eq!(*entry, expected);
         }
+    }
+}
+
+/// One entry of a water-filling description, in reference form.
+struct RefEntry<S> {
+    /// Dense links (duplicates count double).
+    links: Vec<usize>,
+    /// Number of identical flows the entry stands for.
+    multiplicity: usize,
+    /// The entry's weight; `None` is unit weight.
+    weight: Option<S>,
+}
+
+/// Rates, levels, and bottlenecks of one water-filling run.
+type Fill<S> = (Vec<S>, Vec<S>, Vec<usize>);
+
+/// Textbook progressive filling over `capacities`. Each round computes
+/// every link's level afresh, takes the minimum (pass one), then freezes,
+/// in link order, every unfrozen flow of every link at that level, each
+/// at its weight times the level (pass two). Frozen rates then leave their
+/// links' active counts and weights and join their frozen loads, one add
+/// per flow, in freezing order. A run with any weighted entry divides a
+/// link's residual by the summed weights of its unfrozen flows, counting a
+/// multiplicity-`m` entry as `m` flows of its weight; otherwise by their
+/// number.
+fn reference_fill<S: Scalar>(capacities: &[S], entries: &[RefEntry<S>]) -> Fill<S> {
+    let links = capacities.len();
+    let weighted = entries.iter().any(|e| e.weight.is_some());
+    let weight = |e: &RefEntry<S>| e.weight.unwrap_or(S::one());
+    let mut count = vec![0usize; links];
+    let mut active_weight = vec![S::zero(); links];
+    for e in entries {
+        for &d in &e.links {
+            for _ in 0..e.multiplicity {
+                count[d] += 1;
+                if weighted {
+                    active_weight[d] += weight(e);
+                }
+            }
+        }
+    }
+    let mut frozen_load = vec![S::zero(); links];
+    let mut frozen = vec![false; entries.len()];
+    let mut rates = vec![S::zero(); entries.len()];
+    let mut bottlenecks = vec![0; entries.len()];
+    let mut levels = Vec::new();
+    let level_of = |d: usize, count: &[usize], active_weight: &[S], frozen_load: &[S]| {
+        let residual = if capacities[d] > frozen_load[d] {
+            capacities[d] - frozen_load[d]
+        } else {
+            S::zero()
+        };
+        let active = if weighted {
+            active_weight[d]
+        } else {
+            S::from_usize(count[d])
+        };
+        residual / active
+    };
+    while frozen.iter().any(|&f| !f) {
+        let level = (0..links)
+            .filter(|&d| count[d] > 0)
+            .map(|d| level_of(d, &count, &active_weight, &frozen_load))
+            .reduce(S::min)
+            .expect("unfrozen flows cross a link");
+        let mut newly_frozen = Vec::new();
+        for d in 0..links {
+            if count[d] == 0 || level_of(d, &count, &active_weight, &frozen_load) != level {
+                continue;
+            }
+            for (i, e) in entries.iter().enumerate() {
+                if !frozen[i] && e.links.contains(&d) {
+                    frozen[i] = true;
+                    rates[i] = if weighted { weight(e) * level } else { level };
+                    bottlenecks[i] = d;
+                    newly_frozen.push(i);
+                }
+            }
+        }
+        levels.push(level);
+        for i in newly_frozen {
+            let e = &entries[i];
+            for &d in &e.links {
+                for _ in 0..e.multiplicity {
+                    count[d] -= 1;
+                    frozen_load[d] += rates[i];
+                    if weighted {
+                        active_weight[d] -= weight(e);
+                    }
+                }
+            }
+        }
+    }
+    (rates, levels, bottlenecks)
+}
+
+/// Describes `entries` in `scratch` (a weighted entry via
+/// `push_weighted_flow`, a unit one via `push_flow`, any other via
+/// `push_flows`), runs the instance, and returns the run's results.
+fn compiled_fill<S: Scalar>(
+    instance: &WaterfillInstance<S>,
+    scratch: &mut WaterfillScratch<S>,
+    entries: &[RefEntry<S>],
+) -> Fill<S> {
+    scratch.begin();
+    for e in entries {
+        match (e.weight, e.multiplicity) {
+            (Some(w), _) => scratch.push_weighted_flow(&e.links, w),
+            (None, 1) => scratch.push_flow(&e.links),
+            (None, m) => scratch.push_flows(&e.links, m),
+        }
+    }
+    instance.run(scratch);
+    (
+        scratch.rates().to_vec(),
+        scratch.levels().to_vec(),
+        scratch.bottlenecks().to_vec(),
+    )
+}
+
+/// Raw reference entry: `(src_tor, src_host, dst_tor, dst_host, middle,
+/// multiplicity, weight numerator, weight denominator)`. A zero numerator
+/// makes an unweighted entry.
+type RawEntry = (usize, usize, usize, usize, usize, usize, u64, u64);
+
+/// Random entries on `C_n`; five in eight weighted (weight 1/3 to 5),
+/// the rest unweighted with multiplicity 1 to 4.
+fn reference_entries(n: usize, max_entries: usize) -> impl Strategy<Value = Vec<RawEntry>> {
+    let entry = (
+        0..2 * n,
+        0..n,
+        0..2 * n,
+        0..n,
+        0..n,
+        1..=4usize,
+        (0..=7u64).prop_map(|x| x.saturating_sub(2)),
+        1..=3u64,
+    );
+    prop::collection::vec(entry, 1..=max_entries)
+}
+
+/// Asserts that the compiled run equals [`reference_fill`] bit for bit on
+/// `raw` over `clos` with the given per-link capacities, for the entries
+/// as given and again with every weight dropped (an unweighted run), both
+/// through one reused scratch.
+fn assert_matches_reference<S: Scalar>(clos: &ClosNetwork, capacities: &[u64], raw: &[RawEntry]) {
+    let mut net = clos.network().clone();
+    let ids: Vec<LinkId> = net.links().map(|l| l.id()).collect();
+    for (&id, &halves) in ids.iter().zip(capacities.iter().cycle()) {
+        let cap = Rational::new(i128::from(halves), 2);
+        net.set_link_capacity(id, Capacity::finite_value(cap));
+    }
+    let instance = WaterfillInstance::<S>::compile(&net);
+    let caps: Vec<S> = (0..instance.link_count())
+        .map(|d| instance.capacity(d))
+        .collect();
+    let entries: Vec<RefEntry<S>> = raw
+        .iter()
+        .map(|&(si, sj, ti, tj, middle, m, num, den)| {
+            let flow = Flow::new(clos.source(si, sj), clos.destination(ti, tj));
+            let links = clos
+                .path_via(flow, middle)
+                .links()
+                .iter()
+                .filter_map(|&l| instance.dense_index(l))
+                .collect();
+            let weight = (num > 0).then(|| S::from_ratio(num, den));
+            RefEntry {
+                links,
+                multiplicity: if weight.is_some() { 1 } else { m },
+                weight,
+            }
+        })
+        .collect();
+    let unweighted: Vec<RefEntry<S>> = raw
+        .iter()
+        .zip(&entries)
+        .map(|(&(.., m, _, _), e)| RefEntry {
+            links: e.links.clone(),
+            multiplicity: m,
+            weight: None,
+        })
+        .collect();
+    let mut scratch = WaterfillScratch::new();
+    for description in [&entries, &unweighted] {
+        let (rates, levels, bottlenecks) = compiled_fill(&instance, &mut scratch, description);
+        let (ref_rates, ref_levels, ref_bottlenecks) = reference_fill(&caps, description);
+        assert_eq!(rates, ref_rates, "rates diverged from the reference");
+        assert_eq!(levels, ref_levels, "levels diverged from the reference");
+        assert_eq!(
+            bottlenecks, ref_bottlenecks,
+            "bottlenecks diverged from the reference"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The compiled loop is textbook progressive filling: same rates,
+    /// levels, and bottlenecks, bit for bit, in both scalars, with unit,
+    /// multiplicity, and weighted entries, on C_3 with link capacities
+    /// drawn from {0, 1/2, 1, 3/2, 2} (cycled over the links).
+    #[test]
+    fn compiled_run_equals_reference_fill(
+        raw in reference_entries(3, 12),
+        capacities in prop::collection::vec(0..=4u64, 1..=8),
+    ) {
+        let clos = ClosNetwork::standard(3);
+        assert_matches_reference::<Rational>(&clos, &capacities, &raw);
+        assert_matches_reference::<TotalF64>(&clos, &capacities, &raw);
     }
 }

@@ -109,27 +109,33 @@ impl Scalar for Rational {
 }
 
 impl Scalar for TotalF64 {
+    #[inline]
     fn zero() -> TotalF64 {
         TotalF64::ZERO
     }
 
+    #[inline]
     fn one() -> TotalF64 {
         TotalF64::ONE
     }
 
+    #[inline]
     fn from_ratio(num: u64, den: u64) -> TotalF64 {
         assert!(den != 0, "zero denominator");
         TotalF64::new(num as f64 / den as f64)
     }
 
+    #[inline]
     fn from_rational(value: Rational) -> TotalF64 {
         TotalF64::new(value.to_f64())
     }
 
+    #[inline]
     fn to_f64(self) -> f64 {
         self.get()
     }
 
+    #[inline]
     fn is_zero(self) -> bool {
         TotalF64::is_zero(self)
     }

@@ -51,6 +51,7 @@ impl TotalF64 {
     /// let x = TotalF64::new(1.5);
     /// assert_eq!(x.get(), 1.5);
     /// ```
+    #[inline]
     #[must_use]
     pub fn new(value: f64) -> TotalF64 {
         assert!(!value.is_nan(), "TotalF64 cannot hold NaN");
@@ -58,18 +59,21 @@ impl TotalF64 {
     }
 
     /// Returns the wrapped `f64`.
+    #[inline]
     #[must_use]
     pub const fn get(self) -> f64 {
         self.0
     }
 
     /// Returns `true` if the value is exactly zero.
+    #[inline]
     #[must_use]
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
     }
 
     /// Returns the smaller of `self` and `other`.
+    #[inline]
     #[must_use]
     pub fn min(self, other: TotalF64) -> TotalF64 {
         if self <= other {
@@ -80,6 +84,7 @@ impl TotalF64 {
     }
 
     /// Returns the larger of `self` and `other`.
+    #[inline]
     #[must_use]
     pub fn max(self, other: TotalF64) -> TotalF64 {
         if self >= other {
@@ -99,12 +104,14 @@ impl TotalF64 {
 impl Eq for TotalF64 {}
 
 impl PartialOrd for TotalF64 {
+    #[inline]
     fn partial_cmp(&self, other: &TotalF64) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for TotalF64 {
+    #[inline]
     fn cmp(&self, other: &TotalF64) -> Ordering {
         // Safe: NaN is excluded at construction.
         self.0.partial_cmp(&other.0).expect("TotalF64 holds no NaN")
@@ -168,6 +175,7 @@ impl From<TotalF64> for f64 {
 impl Add for TotalF64 {
     type Output = TotalF64;
 
+    #[inline]
     fn add(self, rhs: TotalF64) -> TotalF64 {
         TotalF64::new(self.0 + rhs.0)
     }
@@ -176,6 +184,7 @@ impl Add for TotalF64 {
 impl Sub for TotalF64 {
     type Output = TotalF64;
 
+    #[inline]
     fn sub(self, rhs: TotalF64) -> TotalF64 {
         TotalF64::new(self.0 - rhs.0)
     }
@@ -184,6 +193,7 @@ impl Sub for TotalF64 {
 impl Mul for TotalF64 {
     type Output = TotalF64;
 
+    #[inline]
     fn mul(self, rhs: TotalF64) -> TotalF64 {
         TotalF64::new(self.0 * rhs.0)
     }
@@ -192,6 +202,7 @@ impl Mul for TotalF64 {
 impl Div for TotalF64 {
     type Output = TotalF64;
 
+    #[inline]
     fn div(self, rhs: TotalF64) -> TotalF64 {
         TotalF64::new(self.0 / rhs.0)
     }
@@ -200,30 +211,35 @@ impl Div for TotalF64 {
 impl Neg for TotalF64 {
     type Output = TotalF64;
 
+    #[inline]
     fn neg(self) -> TotalF64 {
         TotalF64(-self.0)
     }
 }
 
 impl AddAssign for TotalF64 {
+    #[inline]
     fn add_assign(&mut self, rhs: TotalF64) {
         *self = *self + rhs;
     }
 }
 
 impl SubAssign for TotalF64 {
+    #[inline]
     fn sub_assign(&mut self, rhs: TotalF64) {
         *self = *self - rhs;
     }
 }
 
 impl MulAssign for TotalF64 {
+    #[inline]
     fn mul_assign(&mut self, rhs: TotalF64) {
         *self = *self * rhs;
     }
 }
 
 impl DivAssign for TotalF64 {
+    #[inline]
     fn div_assign(&mut self, rhs: TotalF64) {
         *self = *self / rhs;
     }
