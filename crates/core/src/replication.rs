@@ -66,6 +66,7 @@ pub fn find_feasible_routing(
         rates.iter().all(|r| !r.is_negative()),
         "rates must be non-negative"
     );
+    let _span = clos_telemetry::span("replication");
     let n = clos.middle_count();
     let tors = clos.tor_count();
     let cap = clos.params().link_capacity;

@@ -24,6 +24,20 @@ use std::str::FromStr;
 /// have numerators and denominators far below `i128::MAX`, so overflow only
 /// indicates a logic error upstream.
 ///
+/// # Cost
+///
+/// The canonical form above is the only representation; the kernel just
+/// reaches it with less work when the operands allow. GCDs are binary
+/// (no 128-bit division), on `u64` when both magnitudes fit. Operands
+/// with equal denominators add and compare without a GCD, and integers
+/// add and multiply without one. Values whose parts fit in `i64`
+/// multiply and compare through single widening multiplies. A sum over
+/// coprime denominators and every cross-reduced product come out already
+/// reduced, so they skip the final GCD. Each shortcut returns exactly
+/// what the general path would, `None` on overflow included. The small
+/// operations are `#[inline]`, so other crates compile these checks into
+/// their own loops.
+///
 /// # Examples
 ///
 /// ```
@@ -75,15 +89,56 @@ impl fmt::Display for ParseRationalError {
 
 impl Error for ParseRationalError {}
 
-const fn gcd(mut a: i128, mut b: i128) -> i128 {
-    a = a.abs();
-    b = b.abs();
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+/// Greatest common divisor of `|a|` and `|b|` by binary (Stein) GCD.
+///
+/// Runs on `u64` when both magnitudes fit and on `u128` otherwise, so no
+/// step needs a 128-bit division. The result only reaches `2^127` for
+/// `gcd(i128::MIN, i128::MIN)` and `gcd(i128::MIN, 0)`, where the cast
+/// back wraps to `i128::MIN`; dividing either operand by it then yields
+/// `1` or `0`, so `Rational::new` still canonicalises those inputs.
+fn gcd(a: i128, b: i128) -> i128 {
+    let (a, b) = (a.unsigned_abs(), b.unsigned_abs());
+    if (a | b) >> 64 == 0 {
+        i128::from(gcd_u64(a as u64, b as u64))
+    } else {
+        gcd_u128(a, b) as i128
     }
-    a
+}
+
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
 }
 
 impl Rational {
@@ -110,11 +165,16 @@ impl Rational {
     /// assert_eq!(Rational::new(2, 4), Rational::new(1, 2));
     /// assert_eq!(Rational::new(1, -2), Rational::new(-1, 2));
     /// ```
+    #[inline]
     #[must_use]
     pub fn new(num: i128, den: i128) -> Rational {
         assert!(den != 0, "rational denominator must be nonzero");
+        if den == 1 {
+            return Rational { num, den };
+        }
+        // `den != 0`, so the gcd is nonzero.
         let g = gcd(num, den);
-        let (mut num, mut den) = if g == 0 { (0, 1) } else { (num / g, den / g) };
+        let (mut num, mut den) = (Rational::div_gcd(num, g), Rational::div_gcd(den, g));
         if den < 0 {
             num = num.checked_neg().expect("rational normalization overflow");
             den = den.checked_neg().expect("rational normalization overflow");
@@ -131,18 +191,21 @@ impl Rational {
     ///
     /// assert_eq!(Rational::from_integer(3), Rational::new(3, 1));
     /// ```
+    #[inline]
     #[must_use]
     pub const fn from_integer(value: i128) -> Rational {
         Rational { num: value, den: 1 }
     }
 
     /// Returns the numerator in canonical (reduced, sign-normalized) form.
+    #[inline]
     #[must_use]
     pub const fn numerator(self) -> i128 {
         self.num
     }
 
     /// Returns the denominator in canonical form; always strictly positive.
+    #[inline]
     #[must_use]
     pub const fn denominator(self) -> i128 {
         self.den
@@ -158,24 +221,28 @@ impl Rational {
     /// assert!(Rational::ZERO.is_zero());
     /// assert!(!Rational::new(1, 9).is_zero());
     /// ```
+    #[inline]
     #[must_use]
     pub const fn is_zero(self) -> bool {
         self.num == 0
     }
 
     /// Returns `true` if the value is strictly positive.
+    #[inline]
     #[must_use]
     pub const fn is_positive(self) -> bool {
         self.num > 0
     }
 
     /// Returns `true` if the value is strictly negative.
+    #[inline]
     #[must_use]
     pub const fn is_negative(self) -> bool {
         self.num < 0
     }
 
     /// Returns `true` if the value is an integer (denominator one).
+    #[inline]
     #[must_use]
     pub const fn is_integer(self) -> bool {
         self.den == 1
@@ -190,6 +257,7 @@ impl Rational {
     ///
     /// assert_eq!(Rational::new(-1, 2).abs(), Rational::new(1, 2));
     /// ```
+    #[inline]
     #[must_use]
     pub fn abs(self) -> Rational {
         if self.num < 0 {
@@ -219,6 +287,7 @@ impl Rational {
     }
 
     /// Returns the smaller of `self` and `other`.
+    #[inline]
     #[must_use]
     pub fn min(self, other: Rational) -> Rational {
         if self <= other {
@@ -229,6 +298,7 @@ impl Rational {
     }
 
     /// Returns the larger of `self` and `other`.
+    #[inline]
     #[must_use]
     pub fn max(self, other: Rational) -> Rational {
         if self >= other {
@@ -239,21 +309,36 @@ impl Rational {
     }
 
     /// Checked addition; returns `None` on overflow.
+    #[inline]
     #[must_use]
     pub fn checked_add(self, rhs: Rational) -> Option<Rational> {
+        if self.den == rhs.den {
+            // a/b + c/b = (a + c)/b: the denominator gcd is b itself.
+            let num = self.num.checked_add(rhs.num)?;
+            if self.den == 1 {
+                return Some(Rational { num, den: 1 });
+            }
+            return Some(Rational::new(num, self.den));
+        }
         // a/b + c/d = (a*(d/g) + c*(b/g)) / (b/g*d) with g = gcd(b, d).
         let g = gcd(self.den, rhs.den);
-        let lhs_scale = rhs.den / g;
-        let rhs_scale = self.den / g;
-        let num = self
-            .num
-            .checked_mul(lhs_scale)?
-            .checked_add(rhs.num.checked_mul(rhs_scale)?)?;
-        let den = self.den.checked_mul(lhs_scale)?;
+        let lhs_scale = Rational::div_gcd(rhs.den, g);
+        let rhs_scale = Rational::div_gcd(self.den, g);
+        let num = Rational::mul_wide(self.num, lhs_scale)?
+            .checked_add(Rational::mul_wide(rhs.num, rhs_scale)?)?;
+        let den = Rational::mul_wide(self.den, lhs_scale)?;
+        if g == 1 {
+            // Coprime denominators: a prime dividing b divides neither d
+            // nor a, so it cannot divide a*d + c*b (and likewise for d);
+            // the sum is already in lowest terms with a positive
+            // denominator.
+            return Some(Rational { num, den });
+        }
         Some(Rational::new(num, den))
     }
 
     /// Checked subtraction; returns `None` on overflow.
+    #[inline]
     #[must_use]
     pub fn checked_sub(self, rhs: Rational) -> Option<Rational> {
         self.checked_add(Rational {
@@ -263,17 +348,37 @@ impl Rational {
     }
 
     /// Checked multiplication; returns `None` on overflow.
+    #[inline]
     #[must_use]
     pub fn checked_mul(self, rhs: Rational) -> Option<Rational> {
+        if self.den == 1 && rhs.den == 1 {
+            return Some(Rational {
+                num: Rational::mul_wide(self.num, rhs.num)?,
+                den: 1,
+            });
+        }
         // Cross-reduce before multiplying to keep magnitudes minimal.
         let g1 = gcd(self.num, rhs.den);
         let g2 = gcd(rhs.num, self.den);
-        let num = (self.num / g1).checked_mul(rhs.num / g2)?;
-        let den = (self.den / g2).checked_mul(rhs.den / g1)?;
+        let num = Rational::mul_wide(
+            Rational::div_gcd(self.num, g1),
+            Rational::div_gcd(rhs.num, g2),
+        )?;
+        let den = Rational::mul_wide(
+            Rational::div_gcd(self.den, g2),
+            Rational::div_gcd(rhs.den, g1),
+        )?;
+        // Each operand is in lowest terms (`checked_div` swaps a canonical
+        // divisor's parts, which keeps them coprime), so the cross-reduced
+        // product is too: only a negative denominator still needs `new`.
+        if den > 0 {
+            return Some(Rational { num, den });
+        }
         Some(Rational::new(num, den))
     }
 
     /// Checked division; returns `None` on overflow or division by zero.
+    #[inline]
     #[must_use]
     pub fn checked_div(self, rhs: Rational) -> Option<Rational> {
         if rhs.is_zero() {
@@ -315,12 +420,9 @@ impl Rational {
     /// ```
     #[must_use]
     pub fn floor(self) -> i128 {
-        if self.num >= 0 {
-            self.num / self.den
-        } else {
-            // Round toward negative infinity for negative values.
-            (self.num - (self.den - 1)) / self.den
-        }
+        // The denominator is positive, so Euclidean division rounds toward
+        // negative infinity and cannot overflow.
+        self.num.div_euclid(self.den)
     }
 
     /// Rounds toward positive infinity to the nearest integer.
@@ -335,7 +437,40 @@ impl Rational {
     /// ```
     #[must_use]
     pub fn ceil(self) -> i128 {
-        -(-self).floor()
+        // In canonical form a non-integer has a denominator above one, so
+        // its floor is at most `i128::MAX / 2` and the increment is safe.
+        self.floor() + i128::from(!self.is_integer())
+    }
+
+    /// Returns `true` if `x` is representable as an `i64`.
+    #[inline]
+    const fn fits_i64(x: i128) -> bool {
+        x as i64 as i128 == x
+    }
+
+    /// Checked `a * b`, as one widening `i64` multiply (which cannot
+    /// overflow `i128`) when both operands fit.
+    #[inline]
+    fn mul_wide(a: i128, b: i128) -> Option<i128> {
+        if Rational::fits_i64(a) & Rational::fits_i64(b) {
+            Some(i128::from(a as i64) * i128::from(b as i64))
+        } else {
+            a.checked_mul(b)
+        }
+    }
+
+    /// `a / g` for a `g` returned by [`gcd`]: skipped for `g == 1`, and an
+    /// `i64` division when both fit (a fitting `g` is positive, so the
+    /// division cannot overflow).
+    #[inline]
+    fn div_gcd(a: i128, g: i128) -> i128 {
+        if g == 1 {
+            a
+        } else if Rational::fits_i64(a) & Rational::fits_i64(g) {
+            i128::from(a as i64 / g as i64)
+        } else {
+            a / g
+        }
     }
 }
 
@@ -425,15 +560,31 @@ impl From<usize> for Rational {
 }
 
 impl PartialOrd for Rational {
+    #[inline]
     fn partial_cmp(&self, other: &Rational) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Rational {
+    #[inline]
     fn cmp(&self, other: &Rational) -> Ordering {
         // a/b ? c/d  <=>  a*d ? c*b  (denominators positive).
-        // Cross-reduce to avoid overflow in the common same-denominator case.
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
+        if Rational::fits_i64(self.num)
+            & Rational::fits_i64(self.den)
+            & Rational::fits_i64(other.num)
+            & Rational::fits_i64(other.den)
+        {
+            // Products of two i64 values cannot overflow i128.
+            let lhs = i128::from(self.num as i64) * i128::from(other.den as i64);
+            let rhs = i128::from(other.num as i64) * i128::from(self.den as i64);
+            return lhs.cmp(&rhs);
+        }
+        // Cross-reduce by the denominators' gcd to keep large products in
+        // range.
         let g_den = gcd(self.den, other.den);
         let lhs = self.num.checked_mul(other.den / g_den);
         let rhs = other.num.checked_mul(self.den / g_den);
@@ -454,6 +605,7 @@ impl Ord for Rational {
 impl Add for Rational {
     type Output = Rational;
 
+    #[inline]
     fn add(self, rhs: Rational) -> Rational {
         self.checked_add(rhs).expect("rational addition overflow")
     }
@@ -462,6 +614,7 @@ impl Add for Rational {
 impl Sub for Rational {
     type Output = Rational;
 
+    #[inline]
     fn sub(self, rhs: Rational) -> Rational {
         self.checked_sub(rhs)
             .expect("rational subtraction overflow")
@@ -471,6 +624,7 @@ impl Sub for Rational {
 impl Mul for Rational {
     type Output = Rational;
 
+    #[inline]
     fn mul(self, rhs: Rational) -> Rational {
         self.checked_mul(rhs)
             .expect("rational multiplication overflow")
@@ -483,6 +637,7 @@ impl Div for Rational {
     /// # Panics
     ///
     /// Panics on division by zero or overflow.
+    #[inline]
     fn div(self, rhs: Rational) -> Rational {
         assert!(!rhs.is_zero(), "rational division by zero");
         self.checked_div(rhs).expect("rational division overflow")
@@ -492,6 +647,7 @@ impl Div for Rational {
 impl Neg for Rational {
     type Output = Rational;
 
+    #[inline]
     fn neg(self) -> Rational {
         Rational {
             num: self.num.checked_neg().expect("rational negation overflow"),
@@ -501,24 +657,28 @@ impl Neg for Rational {
 }
 
 impl AddAssign for Rational {
+    #[inline]
     fn add_assign(&mut self, rhs: Rational) {
         *self = *self + rhs;
     }
 }
 
 impl SubAssign for Rational {
+    #[inline]
     fn sub_assign(&mut self, rhs: Rational) {
         *self = *self - rhs;
     }
 }
 
 impl MulAssign for Rational {
+    #[inline]
     fn mul_assign(&mut self, rhs: Rational) {
         *self = *self * rhs;
     }
 }
 
 impl DivAssign for Rational {
+    #[inline]
     fn div_assign(&mut self, rhs: Rational) {
         *self = *self / rhs;
     }

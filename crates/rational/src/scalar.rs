@@ -14,7 +14,10 @@ use crate::{Rational, TotalF64};
 /// * **Exact** ([`Rational`]) — lexicographic optimality over routings is
 ///   decided exactly; used by everything that verifies a theorem.
 /// * **Fast** ([`TotalF64`]) — large stochastic simulations where exactness
-///   is unnecessary and `i128` reduction costs would dominate.
+///   is unnecessary. [`Rational`]'s kernel keeps small values cheap (binary
+///   GCDs, `i64` fast paths), but every operation still branches on
+///   operand size and may reduce, while a float operation is one
+///   instruction.
 ///
 /// This trait is deliberately minimal: implementations must behave as an
 /// ordered field on the values the allocator produces (non-negative rates
@@ -83,26 +86,32 @@ pub trait Scalar:
 }
 
 impl Scalar for Rational {
+    #[inline]
     fn zero() -> Rational {
         Rational::ZERO
     }
 
+    #[inline]
     fn one() -> Rational {
         Rational::ONE
     }
 
+    #[inline]
     fn from_ratio(num: u64, den: u64) -> Rational {
         Rational::new(num as i128, den as i128)
     }
 
+    #[inline]
     fn from_rational(value: Rational) -> Rational {
         value
     }
 
+    #[inline]
     fn to_f64(self) -> f64 {
         Rational::to_f64(self)
     }
 
+    #[inline]
     fn is_zero(self) -> bool {
         Rational::is_zero(self)
     }

@@ -119,7 +119,10 @@ pub fn rate_ratio_study(
     } else {
         Vec::new()
     };
-    let routing = router.route(clos, &demands, flows);
+    let routing = {
+        let _span = clos_telemetry::span("route");
+        router.route(clos, &demands, flows)
+    };
     // Both water-fillings go through the compiled pipeline with one shared
     // scratch: the scratch is instance-independent, so the macro-switch run
     // reuses the buffers the Clos run warmed up.
