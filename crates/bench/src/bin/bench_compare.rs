@@ -290,6 +290,8 @@ impl Comparison {
                 "bound_pruned",
                 "root_pruned",
                 "blocks_exhausted",
+                "proven_blocks",
+                "blocks_skipped",
             ] {
                 self.exact(&format!("{prefix}.profile.{key}"), bp.get(key), cp.get(key));
             }

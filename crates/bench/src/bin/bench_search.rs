@@ -17,8 +17,12 @@
 //! prune-only and total speedups.
 //!
 //! The instances are hand-built (no RNG): a tie-rich C_3 collection, a
-//! 9-flow hot-ToR C_3 collection, and a 9-flow hot-ToR C_4 collection
-//! that doubles as the n = 4 scale evidence for the e-series experiments.
+//! 9-flow hot-ToR C_3 collection, a 9-flow hot-ToR C_4 collection that
+//! doubles as the n = 4 scale evidence for the e-series experiments, and
+//! e15's full terminal permutation of the Benes network B_3 under its
+//! 4:1 interior overlay — the fabric where the search stops at a proven
+//! optimum (every flow gets its interior cap), so the exit's exact
+//! counts are gated with the rest.
 //!
 //! Beyond the end-to-end searches, the run microbenchmarks the compiled
 //! evaluation pipeline directly (`eval_pipeline` in the report): repeated
@@ -37,22 +41,25 @@
 //! ```
 //!
 //! `--min-speedup X` makes the run fail unless the best total speedup
-//! (baseline / tuned) over all instance/objective rows reaches `X`; the
-//! default `0` records without gating, for single-core or otherwise
+//! (baseline / tuned) over the Clos instance/objective rows reaches `X`
+//! (the `benes3x4` row is recorded but not gated on speed); the default
+//! `0` records without gating, for single-core or otherwise
 //! wall-clock-hostile environments.
 //!
 //! `--profile` attaches the engine's [`SearchProfile`] to every
 //! configuration row: per-depth node/prune/improvement histograms and
 //! prune-provenance counters (symmetry-canonical rejection vs. admissible
-//! prefix bound vs. block exhaustion). The histograms are exact engine
-//! counts, deterministic for any thread count, so they double as exact
-//! regression metrics for `bench_compare`.
+//! prefix bound vs. block exhaustion vs. the proven-optimum exit: blocks
+//! stopped at a proven optimum, blocks never started). The histograms
+//! are exact engine counts, deterministic for any thread count, so they
+//! double as exact regression metrics for `bench_compare`.
 
 use std::fs;
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use clos_bench::experiments::e15_topologies::ring_flows;
 use clos_core::compiled::EvalScratch;
 use clos_core::objectives::{
     search_lex_max_min_with, search_throughput_max_min_with, SearchProfile, SearchStats,
@@ -62,7 +69,7 @@ use clos_core::search::{
 };
 use clos_core::RoutedAllocation;
 use clos_fairness::SortedRates;
-use clos_net::{ClosNetwork, Flow};
+use clos_net::{interior_overlay, BenesNetwork, ClosNetwork, Fabric, Flow};
 use clos_rational::Rational;
 use clos_telemetry::json::JsonValue;
 
@@ -85,7 +92,7 @@ const USAGE: &str = "usage: bench_search [--out PATH] [--threads N] [--min-speed
 [--profile]
   --out PATH        output JSON path (default BENCH_search.json)
   --threads N       thread count for the tuned configuration (default: auto)
-  --min-speedup X   fail unless some row speeds up by at least X (default 0)
+  --min-speedup X   fail unless some Clos row speeds up by at least X (default 0)
   --reps R          timing repetitions per configuration, best-of (default 3)
   --profile         attach per-depth search-tree histograms and
                     prune-provenance counters to every configuration row";
@@ -141,8 +148,8 @@ struct Instance {
     coords: &'static [(usize, usize, usize, usize)],
 }
 
-/// The fixed instance set, smallest first; the best total speedup over
-/// all rows carries the `--min-speedup` gate.
+/// The fixed Clos instance set, smallest first; the best total speedup
+/// over these rows carries the `--min-speedup` gate.
 const INSTANCES: &[Instance] = &[
     // Tie-rich: three identical flows plus two sharing a source ToR; every
     // spread of the triple over distinct middles produces an identical
@@ -214,8 +221,8 @@ struct Measured {
     result: RoutedAllocation,
 }
 
-fn measure(
-    clos: &ClosNetwork,
+fn measure<F: Fabric + Sync>(
+    fabric: &F,
     flows: &[Flow],
     objective: &str,
     config: SearchConfig,
@@ -226,8 +233,8 @@ fn measure(
     for _ in 0..reps {
         let start = Instant::now();
         let (result, stats) = match objective {
-            "lex" => search_lex_max_min_with(clos, flows, config),
-            "throughput" => search_throughput_max_min_with(clos, flows, config),
+            "lex" => search_lex_max_min_with(fabric, flows, config),
+            "throughput" => search_throughput_max_min_with(fabric, flows, config),
             other => unreachable!("unknown objective {other}"),
         };
         let ms = start.elapsed().as_secs_f64() * 1e3;
@@ -288,6 +295,14 @@ fn profile_json(p: &SearchProfile) -> JsonValue {
         (
             "blocks_exhausted".to_string(),
             JsonValue::from(p.blocks_exhausted),
+        ),
+        (
+            "proven_blocks".to_string(),
+            JsonValue::from(p.proven_blocks),
+        ),
+        (
+            "blocks_skipped".to_string(),
+            JsonValue::from(p.blocks_skipped),
         ),
         (
             "sampled_branches".to_string(),
@@ -360,6 +375,74 @@ fn eval_pipeline_bench(reps: u32) -> EvalBench {
     }
 }
 
+/// Runs the three configurations (`baseline`, `prune`, `tuned`) on one
+/// instance/objective, checks that they agree on the optimum, prints the
+/// table line, and returns the report row with its total speedup.
+/// `(name, n)` labels the row; `n` is the fabric's routing-class count.
+fn bench_row<F: Fabric + Sync>(
+    (name, n): (&str, usize),
+    fabric: &F,
+    flows: &[Flow],
+    objective: &str,
+    [baseline_cfg, prune_cfg, tuned_cfg]: [SearchConfig; 3],
+    opts: &Options,
+) -> Result<(JsonValue, f64), String> {
+    let baseline = measure(fabric, flows, objective, baseline_cfg, opts.reps);
+    let prune = measure(fabric, flows, objective, prune_cfg, opts.reps);
+    let tuned = measure(fabric, flows, objective, tuned_cfg, opts.reps);
+
+    if prune.result != baseline.result || tuned.result != baseline.result {
+        return Err(format!(
+            "{name}/{objective}: configurations disagree on the optimal \
+             RoutedAllocation — determinism violated"
+        ));
+    }
+
+    let speedup_prune = baseline.wall_ms / prune.wall_ms.max(1e-9);
+    let speedup_total = baseline.wall_ms / tuned.wall_ms.max(1e-9);
+    println!(
+        "{:<10} {:>10} {:>6} {:>12.3} {:>12.3} {:>12.3} {:>7.1}x {:>7.1}x",
+        name,
+        objective,
+        flows.len(),
+        baseline.wall_ms,
+        prune.wall_ms,
+        tuned.wall_ms,
+        speedup_prune,
+        speedup_total
+    );
+    if opts.profile {
+        let p = &tuned.stats.profile;
+        println!(
+            "  tuned profile: nodes/depth {:?}, pruned/depth {:?}, \
+             symmetry_skipped {}, bound {}, root {}, exhausted {}, \
+             proven {}, skipped {}",
+            p.depth_nodes,
+            p.depth_pruned,
+            p.symmetry_skipped,
+            p.bound_pruned,
+            p.root_pruned,
+            p.blocks_exhausted,
+            p.proven_blocks,
+            p.blocks_skipped
+        );
+    }
+
+    let row = JsonValue::Object(vec![
+        ("instance".to_string(), JsonValue::from(name)),
+        ("objective".to_string(), JsonValue::from(objective)),
+        ("n".to_string(), JsonValue::from(n)),
+        ("flows".to_string(), JsonValue::from(flows.len())),
+        ("baseline".to_string(), config_json(&baseline, opts.profile)),
+        ("prune".to_string(), config_json(&prune, opts.profile)),
+        ("tuned".to_string(), config_json(&tuned, opts.profile)),
+        ("speedup_prune".to_string(), JsonValue::from(speedup_prune)),
+        ("speedup_total".to_string(), JsonValue::from(speedup_total)),
+        ("results_identical".to_string(), JsonValue::from(true)),
+    ]);
+    Ok((row, speedup_total))
+}
+
 fn run() -> Result<(), String> {
     let opts = parse_args()?;
     if let Some(threads) = opts.threads {
@@ -383,6 +466,7 @@ fn run() -> Result<(), String> {
         trace_sample: None,
     };
 
+    let configs = [baseline_cfg, prune_cfg, tuned_cfg];
     let mut rows = Vec::new();
     let mut gated_speedup = 0.0_f64;
     println!(
@@ -406,60 +490,38 @@ fn run() -> Result<(), String> {
             &["lex"]
         };
         for objective in objectives {
-            let baseline = measure(&clos, &flows, objective, baseline_cfg, opts.reps);
-            let prune = measure(&clos, &flows, objective, prune_cfg, opts.reps);
-            let tuned = measure(&clos, &flows, objective, tuned_cfg, opts.reps);
-
-            if prune.result != baseline.result || tuned.result != baseline.result {
-                return Err(format!(
-                    "{}/{objective}: configurations disagree on the optimal \
-                     RoutedAllocation — determinism violated",
-                    instance.name
-                ));
-            }
-
-            let speedup_prune = baseline.wall_ms / prune.wall_ms.max(1e-9);
-            let speedup_total = baseline.wall_ms / tuned.wall_ms.max(1e-9);
-            gated_speedup = gated_speedup.max(speedup_total);
-            println!(
-                "{:<10} {:>10} {:>6} {:>12.3} {:>12.3} {:>12.3} {:>7.1}x {:>7.1}x",
-                instance.name,
+            let (row, speedup) = bench_row(
+                (instance.name, instance.n),
+                &clos,
+                &flows,
                 objective,
-                flows.len(),
-                baseline.wall_ms,
-                prune.wall_ms,
-                tuned.wall_ms,
-                speedup_prune,
-                speedup_total
-            );
-            if opts.profile {
-                let p = &tuned.stats.profile;
-                println!(
-                    "  tuned profile: nodes/depth {:?}, pruned/depth {:?}, \
-                     symmetry_skipped {}, bound {}, root {}, exhausted {}",
-                    p.depth_nodes,
-                    p.depth_pruned,
-                    p.symmetry_skipped,
-                    p.bound_pruned,
-                    p.root_pruned,
-                    p.blocks_exhausted
-                );
-            }
-
-            rows.push(JsonValue::Object(vec![
-                ("instance".to_string(), JsonValue::from(instance.name)),
-                ("objective".to_string(), JsonValue::from(*objective)),
-                ("n".to_string(), JsonValue::from(instance.n)),
-                ("flows".to_string(), JsonValue::from(flows.len())),
-                ("baseline".to_string(), config_json(&baseline, opts.profile)),
-                ("prune".to_string(), config_json(&prune, opts.profile)),
-                ("tuned".to_string(), config_json(&tuned, opts.profile)),
-                ("speedup_prune".to_string(), JsonValue::from(speedup_prune)),
-                ("speedup_total".to_string(), JsonValue::from(speedup_total)),
-                ("results_identical".to_string(), JsonValue::from(true)),
-            ]));
+                configs,
+                &opts,
+            )?;
+            gated_speedup = gated_speedup.max(speedup);
+            rows.push(row);
         }
     }
+    // e15's B_3 at 4:1: the full terminal permutation, throughput.
+    let base = BenesNetwork::standard(3);
+    let benes = base.with_capacities(&interior_overlay(
+        base.network(),
+        base.nominal_capacity(),
+        4,
+    ));
+    let flows = ring_flows(benes.network(), benes.terminal_count());
+    // Its exact counts are gated by `bench_compare`; its speedup stays out
+    // of `--min-speedup`, where the exit alone would carry the gate and
+    // hide a loss of pruning or parallelism on the Clos rows.
+    let (row, _) = bench_row(
+        ("benes3x4", benes.class_count()),
+        &benes,
+        &flows,
+        "throughput",
+        configs,
+        &opts,
+    )?;
+    rows.push(row);
 
     let eval = eval_pipeline_bench(opts.reps);
     let eval_rate = eval.evals as f64 / (eval.wall_ms / 1e3).max(1e-12);

@@ -29,7 +29,7 @@
 
 use clos_core::objectives::{search_lex_max_min, search_throughput_max_min};
 use clos_net::{
-    BenesNetwork, Capacity, CapacityMap, ClosNetwork, ClosParams, Fabric, FatTree, Flow, Network,
+    interior_overlay, BenesNetwork, ClosNetwork, ClosParams, Fabric, FatTree, Flow, Network,
     NodeKind,
 };
 use clos_rational::Rational;
@@ -69,20 +69,6 @@ pub fn ring_flows(net: &Network, take: usize) -> Vec<Flow> {
     let h = sources.len();
     (0..take.min(h))
         .map(|i| Flow::new(sources[i], dests[(i + 1) % h]))
-        .collect()
-}
-
-/// Overlay scaling every switch↔switch link of `net` to `nominal / ρ`
-/// (host access links keep their capacity, mirroring the fat-tree's
-/// native oversubscription, which only rescales an interior tier).
-fn interior_overlay(net: &Network, nominal: Rational, oversub: u32) -> CapacityMap {
-    let scaled = Capacity::finite_value(nominal / Rational::from_integer(i128::from(oversub)));
-    net.links()
-        .filter(|l| {
-            net.node(l.src()).kind() != NodeKind::Source
-                && net.node(l.dst()).kind() != NodeKind::Destination
-        })
-        .map(|l| (l.id(), scaled))
         .collect()
 }
 
@@ -265,6 +251,7 @@ pub fn verdicts(rows: &[Row]) -> Vec<(String, bool)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clos_net::Capacity;
 
     #[test]
     fn quick_sweep_passes_all_verdicts() {

@@ -509,8 +509,10 @@ pub fn theorem_4_3(n: usize) -> Theorem43 {
 pub fn theorem_4_3_with_copies(n: usize, copies: usize) -> Theorem43 {
     assert!(n >= 3, "the construction requires n >= 3");
     assert!(copies >= 1, "need at least one copy of each type-1 flow");
-    let mut coords = Vec::new();
-    let mut types = Vec::new();
+    // Type 1, type 2.a, type 2.b, and the one type-3 flow.
+    let total = n * (n - 1) * copies + n + n * (n - 1) + 1;
+    let mut coords = Vec::with_capacity(total);
+    let mut types = Vec::with_capacity(total);
     // Type 1: copies × (s_i^j, t_i^j), i ∈ [n], j ∈ [2, n] (0-based hosts 1..n).
     for i in 0..n {
         for j in 1..n {

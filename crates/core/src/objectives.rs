@@ -87,8 +87,17 @@ pub struct SearchStats {
 ///   [`root_pruned`](Self::root_pruned) — subtrees generated but cut by
 ///   the admissible prefix bound (inside a block vs. a whole block at
 ///   its root; the two sum to [`SearchStats::pruned`]);
-/// * [`blocks_exhausted`](Self::blocks_exhausted) — blocks walked to
-///   exhaustion, the only way leaves are reached.
+/// * [`blocks_exhausted`](Self::blocks_exhausted) /
+///   [`proven_blocks`](Self::proven_blocks) — blocks walked to
+///   exhaustion vs. blocks whose walk stopped at a proven optimum (an
+///   incumbent that reached the objective's root bound), the only ways
+///   leaves are reached;
+/// * [`blocks_skipped`](Self::blocks_skipped) — blocks never started,
+///   because an earlier wave proved the optimum. They are not prunes:
+///   [`SearchStats::pruned`] does not count them.
+///
+/// `root_pruned + blocks_exhausted + proven_blocks + blocks_skipped` is
+/// the block count.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct SearchProfile {
     /// `depth_nodes[d]`: interior prefixes of length `d` expanded (their
@@ -109,8 +118,14 @@ pub struct SearchProfile {
     pub bound_pruned: u64,
     /// Whole blocks cut by the prefix bound at their root prefix.
     pub root_pruned: u64,
-    /// Blocks walked to exhaustion (not root-pruned).
+    /// Blocks walked to exhaustion (not root-pruned, not proven).
     pub blocks_exhausted: u64,
+    /// Blocks whose walk stopped early because their incumbent reached
+    /// the root bound, a proven optimum.
+    pub proven_blocks: u64,
+    /// Blocks never started: they lie past the wave that proved the
+    /// optimum (all of them when the seed itself meets the root bound).
+    pub blocks_skipped: u64,
     /// Deterministically sampled leaves (see
     /// [`SearchConfig::trace_sample`]), in lexicographic order, capped at
     /// [`SearchProfile::MAX_SAMPLED`].
@@ -153,6 +168,8 @@ impl SearchProfile {
         self.bound_pruned += other.bound_pruned;
         self.root_pruned += other.root_pruned;
         self.blocks_exhausted += other.blocks_exhausted;
+        self.proven_blocks += other.proven_blocks;
+        self.blocks_skipped += other.blocks_skipped;
         let room = SearchProfile::MAX_SAMPLED.saturating_sub(self.sampled.len());
         self.sampled
             .extend(other.sampled.iter().take(room).cloned());

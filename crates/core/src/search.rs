@@ -43,6 +43,17 @@
 //!    each worker evaluates assignments into its own reusable
 //!    [`EvalScratch`] — the steady-state leaf loop performs no heap
 //!    allocations (asserted by `bench_search`'s counting allocator).
+//! 5. **Proven optimum.** Each objective's bound over the empty prefix
+//!    ([`Objective::root_bound`]: the sorted per-flow rate caps for
+//!    lex, `min(Σ caps, host-link capacity on either side)` for
+//!    throughput) is computed once per search. An incumbent that reaches
+//!    it cannot be beaten by any routing, so its block stops walking
+//!    ([`SearchProfile::proven_blocks`]) and no later wave of blocks
+//!    starts ([`SearchProfile::blocks_skipped`]); a seed that already
+//!    meets it runs no block at all. On rearrangeable fabrics, where
+//!    every flow can get its own cap, this ends the search at the first
+//!    optimal leaf instead of after the whole canonical space.
+//!    [`SearchConfig::no_prune`] turns it off with the prefix bounds.
 //!
 //! # Determinism
 //!
@@ -63,9 +74,28 @@
 //! lexicographic order, so any equal-key leaf inside it was never going to
 //! replace the incumbent.
 //!
+//! The proven exit keeps both properties. Blocks run in *waves* of
+//! [`FIRST_WAVE`], then twice as many, … blocks; the boundaries come from
+//! the block count alone. Every block of a wave runs to its own end, and
+//! the search ends after the first wave holding a proven block, so the
+//! set of blocks that ran — and each block's statistics — is the same
+//! for any thread count (the workers persist across waves and meet at a
+//! barrier between them; the single-thread path follows the same rule).
+//! A search without a root bound ([`SearchConfig::no_prune`], or an
+//! objective with no bound) cannot prove its optimum, so it runs all its
+//! blocks as one wave, and no worker waits between blocks.
+//! The winner is unchanged too: a block stops only at a leaf whose key
+//! equals the root bound, the optimum, and it is the block's first such
+//! leaf; every block before it ran in full (it sits in the same wave or
+//! an earlier one), and no block after it can strictly beat the optimum
+//! in the merge.
+//!
 //! [`SearchStats`]: crate::objectives::SearchStats
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 use clos_fairness::{max_min_fair, Allocation, SortedRates};
 use clos_net::{ClosNetwork, Fabric, Flow, LinkId, Routing};
@@ -83,6 +113,14 @@ use crate::objectives::{SampledBranch, SearchProfile, SearchStats};
 /// thread counts while still giving a 16-way machine enough blocks to
 /// balance load.
 pub const BLOCK_TARGET: usize = 64;
+
+/// Size of the first wave of blocks; each later wave doubles it (8, 16,
+/// 32, … blocks). A search ends after the first wave holding a block that
+/// proved the optimum. Like [`BLOCK_TARGET`], the wave boundaries depend
+/// on the block count alone, never on the thread count, so which blocks
+/// run — and with them [`SearchStats`] — is the same for every thread
+/// count.
+pub const FIRST_WAVE: usize = 8;
 
 /// Upper cap on the auto-detected thread count.
 const MAX_AUTO_THREADS: usize = 8;
@@ -174,6 +212,8 @@ pub struct Problem<'a, F: Fabric = ClosNetwork> {
     /// best interior cover pair over all classes)` — what a flow can
     /// carry under *any* assignment.
     flow_caps: Vec<Rational>,
+    /// Sum of `flow_caps[k..]`, for every `k`.
+    suffix_flow_cap: Vec<Rational>,
     /// The nominal construction capacity
     /// ([`Fabric::nominal_capacity`]; individual links may have been
     /// degraded below it).
@@ -257,6 +297,10 @@ impl<'a, F: Fabric> Problem<'a, F> {
                     .min(interior)
             })
             .collect();
+        let mut suffix_flow_cap = vec![Rational::ZERO; flows.len() + 1];
+        for k in (0..flows.len()).rev() {
+            suffix_flow_cap[k] = suffix_flow_cap[k + 1] + flow_caps[k];
+        }
         Problem {
             fabric,
             flows,
@@ -267,6 +311,7 @@ impl<'a, F: Fabric> Problem<'a, F> {
             suffix_src_cap,
             suffix_dst_cap,
             flow_caps,
+            suffix_flow_cap,
             capacity: fabric.nominal_capacity(),
         }
     }
@@ -336,8 +381,18 @@ impl<'a, F: Fabric> Problem<'a, F> {
     /// source host link and its destination host link, every assigned
     /// flow's rate crosses its chosen class's interior cover links, and
     /// each link carries at most its capacity. Summing capacities over
-    /// either cover — assigned up-side cover links plus unassigned
-    /// source host links, or the down-side mirror — bounds the total.
+    /// either cover — assigned up-side cover links plus the unassigned
+    /// flows' source host links, or the down-side mirror — bounds the
+    /// total.
+    ///
+    /// The unassigned part is cap-tight: each unassigned flow's rate is
+    /// also at most its own rate cap (host links and its best interior
+    /// cover pair) whatever class it later takes, so that part is
+    /// charged `min(distinct host-link capacity, sum of rate caps)`, and
+    /// the whole bound is clamped by the sum of every flow's rate cap.
+    /// On an oversubscribed fabric, where the interior cap sits below a
+    /// host link, this is what lets the bound meet the optimum. At the
+    /// empty prefix it is the search's root bound.
     #[must_use]
     pub fn throughput_cover_bound(&self, prefix: &[usize]) -> Rational {
         self.throughput_cover_bound_with(&mut EvalScratch::default(), prefix)
@@ -366,11 +421,12 @@ impl<'a, F: Fabric> Problem<'a, F> {
         down.dedup();
         // Capacity sums (not counts x uniform capacity): each cover
         // element carries at most its own — possibly degraded — capacity.
-        let mut up_cap = self.suffix_src_cap[k];
+        let unassigned = self.suffix_flow_cap[k];
+        let mut up_cap = self.suffix_src_cap[k].min(unassigned);
         for l in up.iter() {
             up_cap += self.link_cap[l.index()];
         }
-        let mut down_cap = self.suffix_dst_cap[k];
+        let mut down_cap = self.suffix_dst_cap[k].min(unassigned);
         for l in down.iter() {
             down_cap += self.link_cap[l.index()];
         }
@@ -378,6 +434,7 @@ impl<'a, F: Fabric> Problem<'a, F> {
             .min(down_cap)
             .min(self.suffix_src_cap[0])
             .min(self.suffix_dst_cap[0])
+            .min(self.suffix_flow_cap[0])
     }
 }
 
@@ -420,6 +477,16 @@ pub trait Objective<F: Fabric = ClosNetwork>: Sync {
         prefix: &[usize],
         scratch: &mut EvalScratch,
     ) -> Option<Self::Key>;
+
+    /// An upper bound on [`Self::key`] over *every* routing — the bound
+    /// of the empty prefix — or `None` when none is known. The engine
+    /// computes it once per search; an incumbent that reaches it is a
+    /// proven optimum, and the search stops (see the module docs). The
+    /// default is [`Self::prefix_bound`] of the empty prefix; override it
+    /// where that bound is gated off at the root but a cheap one exists.
+    fn root_bound(&self, problem: &Problem<'_, F>, scratch: &mut EvalScratch) -> Option<Self::Key> {
+        self.prefix_bound(problem, &[], scratch)
+    }
 
     /// Whether *no* completion of `prefix` can strictly beat `incumbent`
     /// — the pruning predicate the engine actually calls. The default
@@ -488,6 +555,18 @@ impl<F: Fabric> Objective<F> for LexMaxMin {
         let mut rates = scratch.rates().to_vec();
         rates.extend_from_slice(&problem.flow_caps[k..]);
         Some(SortedRates::from_unsorted(rates))
+    }
+
+    /// The sorted per-flow rate caps: the prefix bound of the empty
+    /// prefix, taken once per search whatever [`lex_bound_worthwhile`]
+    /// says (it gates the per-prefix water-filling, which the root does
+    /// not need).
+    fn root_bound(
+        &self,
+        problem: &Problem<'_, F>,
+        _scratch: &mut EvalScratch,
+    ) -> Option<Self::Key> {
+        Some(SortedRates::from_unsorted(problem.flow_caps.clone()))
     }
 
     fn prefix_cannot_beat(
@@ -721,6 +800,12 @@ pub(crate) trait Visitor {
 
     /// Called once per surviving complete assignment.
     fn leaf(&mut self, assignment: &[usize]);
+
+    /// Checked after every leaf; returning `true` ends the walk there
+    /// (the engine's visitor stops once its incumbent is proven optimal).
+    fn stop(&self) -> bool {
+        false
+    }
 }
 
 /// Iteratively enumerates, in lexicographic order, every canonical
@@ -758,6 +843,9 @@ pub(crate) fn walk_completions(
             space.fill_next_row(used, i, assignment[i]);
             if i + 1 == count {
                 visitor.leaf(assignment);
+                if visitor.stop() {
+                    return;
+                }
             } else if !visitor.prune(&assignment[..=i]) {
                 i += 1;
                 assignment[i] = space.lower(assignment, i);
@@ -808,6 +896,20 @@ fn prefix_blocks(space: &CanonicalSpace, flow_count: usize) -> (usize, Vec<Vec<u
     }
 }
 
+/// The block-index ranges of the successive waves over `blocks` blocks:
+/// [`FIRST_WAVE`] blocks, then twice as many as the wave before.
+fn wave_ranges(blocks: usize) -> Vec<Range<usize>> {
+    let mut waves = Vec::new();
+    let (mut start, mut size) = (0, FIRST_WAVE);
+    while start < blocks {
+        let end = (start + size).min(blocks);
+        waves.push(start..end);
+        start = end;
+        size *= 2;
+    }
+    waves
+}
+
 /// Per-block search outcome; every field is a pure function of the block,
 /// the instance, and the seed key — never of thread scheduling.
 struct BlockOutcome<K> {
@@ -821,6 +923,13 @@ struct BlockOutcome<K> {
     /// Per-depth histograms, prune provenance, and sampled leaves of
     /// this block alone.
     profile: SearchProfile,
+}
+
+impl<K> BlockOutcome<K> {
+    /// Whether the block's walk stopped at a proven optimum.
+    fn proven(&self) -> bool {
+        self.profile.proven_blocks > 0
+    }
 }
 
 fn strictly_greater<K: PartialOrd>(a: &K, b: &K) -> bool {
@@ -845,6 +954,9 @@ struct SearchContext<'a, F: Fabric, O: Objective<F>> {
     /// The all-zeros seed assignment and its key.
     seed: Vec<usize>,
     seed_key: O::Key,
+    /// The objective's [`Objective::root_bound`]: no routing's key
+    /// exceeds it. `None` when unknown or pruning is off.
+    ceiling: Option<O::Key>,
 }
 
 /// The per-block worker: walks one block with block-local pruning,
@@ -855,6 +967,8 @@ struct BlockVisitor<'a, 'p, 's, F: Fabric, O: Objective<F>> {
     /// The seed leaf lives in the first block; skip its re-evaluation
     /// there (it was examined up front).
     seed_pending: bool,
+    /// Whether the incumbent has reached the root bound.
+    proven: bool,
     outcome: BlockOutcome<O::Key>,
 }
 
@@ -929,6 +1043,11 @@ impl<F: Fabric, O: Objective<F>> Visitor for BlockVisitor<'_, '_, '_, F, O> {
                 .unwrap_or(assignment.len());
             self.outcome.profile.depth_improvements[divergence] += 1;
             let key = self.ctx.objective.key(self.scratch);
+            self.proven = self
+                .ctx
+                .ceiling
+                .as_ref()
+                .is_some_and(|bound| bound_cannot_beat(bound, &key));
             self.outcome.best = Some((assignment.to_vec(), key));
         }
         if sampled {
@@ -938,6 +1057,10 @@ impl<F: Fabric, O: Objective<F>> Visitor for BlockVisitor<'_, '_, '_, F, O> {
                 improved,
             });
         }
+    }
+
+    fn stop(&self) -> bool {
+        self.proven
     }
 }
 
@@ -960,6 +1083,7 @@ fn process_block<F: Fabric, O: Objective<F>>(
         ctx,
         scratch,
         seed_pending: index == 0,
+        proven: false,
         outcome: BlockOutcome {
             index,
             best: None,
@@ -978,8 +1102,13 @@ fn process_block<F: Fabric, O: Objective<F>>(
         visitor.outcome.profile.root_pruned += 1;
         return visitor.outcome;
     }
-    visitor.outcome.profile.blocks_exhausted += 1;
     walk_completions(&ctx.space, &mut assignment, &mut used, depth, &mut visitor);
+    if visitor.proven {
+        visitor.outcome.profile.proven_blocks += 1;
+        counters::SEARCH_PROVEN_BLOCKS.incr();
+    } else {
+        visitor.outcome.profile.blocks_exhausted += 1;
+    }
     visitor.outcome
 }
 
@@ -1015,6 +1144,20 @@ pub fn run_search<F: Fabric + Sync, O: Objective<F>>(
     }
     let seed_key = objective.key(&mut seed_scratch);
     counters::SEARCH_IMPROVEMENTS.incr();
+    let ceiling = if config.no_prune {
+        None
+    } else {
+        objective.root_bound(&problem, &mut seed_scratch)
+    };
+    let waves = match &ceiling {
+        // Without a root bound no block can prove the optimum, so every
+        // block runs, as one wave: no worker waits between blocks.
+        None => vec![0..blocks.len()],
+        // A seed that already meets the root bound is the proven optimum:
+        // no block runs.
+        Some(bound) if bound_cannot_beat(bound, &seed_key) => Vec::new(),
+        Some(_) => wave_ranges(blocks.len()),
+    };
 
     let ctx = SearchContext {
         space,
@@ -1023,35 +1166,77 @@ pub fn run_search<F: Fabric + Sync, O: Objective<F>>(
         config,
         seed,
         seed_key,
+        ceiling,
     };
 
     let threads = config.threads.unwrap_or_else(search_threads).max(1);
-    let mut outcomes: Vec<BlockOutcome<O::Key>> = if threads == 1 || blocks.len() <= 1 {
+    let mut outcomes: Vec<BlockOutcome<O::Key>> = Vec::with_capacity(blocks.len());
+    if threads == 1 || blocks.len() <= 1 {
         // Sequential path: the (already warm) seed scratch serves every
-        // block.
-        blocks
-            .iter()
-            .enumerate()
-            .map(|(index, prefix)| process_block(&ctx, index, prefix, &mut seed_scratch))
-            .collect()
+        // block, under the same wave rule as the workers below.
+        for wave in &waves {
+            for index in wave.clone() {
+                outcomes.push(process_block(
+                    &ctx,
+                    index,
+                    &blocks[index],
+                    &mut seed_scratch,
+                ));
+            }
+            if outcomes[wave.clone()].iter().any(BlockOutcome::proven) {
+                break;
+            }
+        }
     } else {
-        let next = AtomicUsize::new(0);
         let workers = threads.min(blocks.len());
-        std::thread::scope(|scope| {
+        let cursors: Vec<AtomicUsize> = waves.iter().map(|w| AtomicUsize::new(w.start)).collect();
+        // Per wave: a block of it proved the optimum (or panicked), so no
+        // later wave starts. Set only inside its wave and read only past
+        // the wave's barrier, so every worker reads the same value.
+        let stops: Vec<AtomicBool> = waves.iter().map(|_| AtomicBool::new(false)).collect();
+        let barrier = Barrier::new(workers);
+        outcomes = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
-                        // One scratch per worker: block outcomes stay a
-                        // pure function of the block, so results and
-                        // stats are byte-identical for any thread count.
+                        // One scratch per worker, kept across waves:
+                        // block outcomes stay a pure function of the
+                        // block, so results and stats are byte-identical
+                        // for any thread count.
                         let mut scratch = EvalScratch::default();
                         let mut mine = Vec::new();
-                        loop {
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(prefix) = blocks.get(index) else {
+                        let mut failure = None;
+                        for ((wave, cursor), stop) in waves.iter().zip(&cursors).zip(&stops) {
+                            while failure.is_none() {
+                                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                                if index >= wave.end {
+                                    break;
+                                }
+                                // A panicking block must still reach the
+                                // barrier, or the other workers would wait
+                                // on it forever; it is re-raised below.
+                                match catch_unwind(AssertUnwindSafe(|| {
+                                    process_block(&ctx, index, &blocks[index], &mut scratch)
+                                })) {
+                                    Ok(outcome) => {
+                                        if outcome.proven() {
+                                            stop.store(true, Ordering::Release);
+                                        }
+                                        mine.push(outcome);
+                                    }
+                                    Err(payload) => {
+                                        stop.store(true, Ordering::Release);
+                                        failure = Some(payload);
+                                    }
+                                }
+                            }
+                            barrier.wait();
+                            if stop.load(Ordering::Acquire) {
                                 break;
-                            };
-                            mine.push(process_block(&ctx, index, prefix, &mut scratch));
+                            }
+                        }
+                        if let Some(payload) = failure {
+                            resume_unwind(payload);
                         }
                         mine
                     })
@@ -1061,8 +1246,8 @@ pub fn run_search<F: Fabric + Sync, O: Objective<F>>(
                 .into_iter()
                 .flat_map(|h| h.join().expect("search worker panicked"))
                 .collect()
-        })
-    };
+        });
+    }
 
     // Deterministic merge: block order, strict improvement only, so the
     // earliest block (hence the lexicographically earliest leaf) wins
@@ -1078,6 +1263,10 @@ pub fn run_search<F: Fabric + Sync, O: Objective<F>>(
         pruned: 0,
         profile: seed_profile,
     };
+    // Blocks past the wave that proved the optimum never started.
+    let skipped = (blocks.len() - outcomes.len()) as u64;
+    stats.profile.blocks_skipped = skipped;
+    counters::SEARCH_BLOCKS_SKIPPED.add(skipped);
     let mut best_assignment = ctx.seed;
     let mut best_key = ctx.seed_key;
     for outcome in outcomes {
@@ -1108,13 +1297,36 @@ mod tests {
     }
 
     /// Enumerates all canonical leaves without pruning.
-    fn all_leaves(clos: &ClosNetwork, flows: &[Flow]) -> Vec<Vec<usize>> {
-        let space = CanonicalSpace::new(clos, flows);
+    fn all_leaves<F: Fabric>(fabric: &F, flows: &[Flow]) -> Vec<Vec<usize>> {
+        let space = CanonicalSpace::new(fabric, flows);
         let mut assignment = vec![0usize; flows.len()];
         let mut used = space.rows(flows.len());
         let mut collect = Collect(Vec::new());
         walk_completions(&space, &mut assignment, &mut used, 0, &mut collect);
         collect.0
+    }
+
+    /// `fabric` under e15's interior overlay at `oversub`:1, where a
+    /// flow's interior cap sits below its host links.
+    fn oversubscribed<F: Fabric>(fabric: &F, oversub: u32) -> F {
+        let nominal = fabric.nominal_capacity();
+        fabric.with_capacities(&clos_net::interior_overlay(
+            fabric.network(),
+            nominal,
+            oversub,
+        ))
+    }
+
+    /// Flows between the `src`-th source and `dst`-th destination host
+    /// of `fabric` (indices taken modulo the host counts).
+    fn host_flows<F: Fabric>(fabric: &F, pairs: &[(usize, usize)]) -> Vec<Flow> {
+        let net = fabric.network();
+        let sources = net.nodes_of_kind(clos_net::NodeKind::Source);
+        let dests = net.nodes_of_kind(clos_net::NodeKind::Destination);
+        pairs
+            .iter()
+            .map(|&(s, d)| Flow::new(sources[s % sources.len()], dests[d % dests.len()]))
+            .collect()
     }
 
     #[test]
@@ -1144,6 +1356,24 @@ mod tests {
     }
 
     #[test]
+    fn waves_double_and_cover_every_block_once() {
+        assert!(wave_ranges(0).is_empty());
+        assert_eq!(wave_ranges(5), vec![0..5]);
+        assert_eq!(
+            wave_ranges(122),
+            vec![0..8, 8..24, 24..56, 56..120, 120..122]
+        );
+        for blocks in [1, 8, 9, 64, 187, 1000] {
+            let waves = wave_ranges(blocks);
+            assert_eq!(waves[0].start, 0);
+            assert_eq!(waves[waves.len() - 1].end, blocks);
+            for w in waves.windows(2) {
+                assert_eq!(w[0].end, w[1].start);
+            }
+        }
+    }
+
+    #[test]
     fn seed_is_first_leaf_and_order_is_lexicographic() {
         let clos = ClosNetwork::standard(2);
         let flows = vec![
@@ -1158,60 +1388,132 @@ mod tests {
         }
     }
 
-    /// Admissibility of both prefix bounds: no completion's key exceeds
-    /// the bound of any of its prefixes. Also pins the compiled pipeline
-    /// to the allocating reference path (`prefix_allocation`) and
-    /// [`Objective::beats`]/[`Objective::prefix_cannot_beat`] to their
-    /// key-materializing definitions.
+    /// Admissibility of every bound on a C_2 instance: the uniform
+    /// fabric plus its 2:1 and 4:1 overlays (see
+    /// [`check_bounds_admissible_on`]).
     fn check_bounds_admissible(coords: &[(usize, usize, usize, usize)]) {
         let clos = ClosNetwork::standard(2);
         let flows = flows_from_coords(&clos, coords);
-        let problem = Problem::new(&clos, &flows);
+        check_bounds_admissible_on(&clos, &flows);
+        for oversub in [2, 4] {
+            check_bounds_admissible_on(&oversubscribed(&clos, oversub), &flows);
+        }
+    }
+
+    /// Admissibility of the prefix bounds and the root bounds: no
+    /// completion's key exceeds the bound of any of its prefixes, nor
+    /// the objective's root bound. Also pins the compiled pipeline to
+    /// the allocating reference path (`prefix_allocation`) and
+    /// [`Objective::beats`]/[`Objective::prefix_cannot_beat`] to their
+    /// key-materializing definitions. On uniform fabrics the cap-tight
+    /// terms never bind; the oversubscribed overlays are where a wrong
+    /// one would show.
+    fn check_bounds_admissible_on<F: Fabric>(fabric: &F, flows: &[Flow]) {
+        let problem = Problem::new(fabric, flows);
         let mut scratch = EvalScratch::default();
-        for leaf in all_leaves(&clos, &flows) {
+        let lex = &LexMaxMin as &dyn Objective<F, Key = SortedRates<Rational>>;
+        let tput = &ThroughputMaxMin as &dyn Objective<F, Key = Rational>;
+        let lex_root = lex
+            .root_bound(&problem, &mut scratch)
+            .expect("lex has a root bound");
+        let tput_root = tput
+            .root_bound(&problem, &mut scratch)
+            .expect("throughput has a root bound");
+        assert_eq!(
+            Some(tput_root),
+            tput.prefix_bound(&problem, &[], &mut scratch),
+            "the throughput root bound is its empty-prefix bound"
+        );
+        for leaf in all_leaves(fabric, flows) {
             let alloc = problem.prefix_allocation(&leaf);
             problem.evaluate(&mut scratch, &leaf);
             // Compiled evaluation == fresh Routing + max_min_fair.
             assert_eq!(scratch.rates(), alloc.rates(), "compiled pipeline diverged");
-            let lex_key = Objective::<ClosNetwork>::key(&LexMaxMin, &mut scratch);
-            let tput_key = Objective::<ClosNetwork>::key(&ThroughputMaxMin, &mut scratch);
+            let lex_key = lex.key(&mut scratch);
+            let tput_key = tput.key(&mut scratch);
             assert_eq!(lex_key.rates(), alloc.sorted().rates());
             assert_eq!(tput_key, alloc.throughput());
+            assert!(lex_root >= lex_key, "lex root bound below a routing's key");
+            assert!(
+                tput_root >= tput_key,
+                "throughput root bound below a routing's key"
+            );
             // beats == strict key comparison against itself (never) and
             // against a strictly smaller key (always: rates are positive).
-            let lex = &LexMaxMin as &dyn Objective<ClosNetwork, Key = SortedRates<Rational>>;
-            let tput = &ThroughputMaxMin as &dyn Objective<ClosNetwork, Key = Rational>;
             assert!(!lex.beats(&lex_key, &mut scratch));
             assert!(!tput.beats(&tput_key, &mut scratch));
             let zeros = SortedRates::from_unsorted(vec![Rational::ZERO; flows.len()]);
             assert!(lex.beats(&zeros, &mut scratch));
             assert!(tput.beats(&Rational::ZERO, &mut scratch));
-            for k in 0..flows.len() {
-                let lex_bound = LexMaxMin.prefix_bound(&problem, &leaf[..k], &mut scratch);
+            for k in 0..=flows.len() {
+                let lex_bound = lex.prefix_bound(&problem, &leaf[..k], &mut scratch);
                 if let Some(bound) = lex_bound {
                     assert!(bound >= lex_key, "lex bound below a completion's key");
                     // The engine's pruning predicate decides exactly as
                     // materializing the bound would.
                     assert_eq!(
-                        LexMaxMin.prefix_cannot_beat(&problem, &leaf[..k], &lex_key, &mut scratch),
+                        lex.prefix_cannot_beat(&problem, &leaf[..k], &lex_key, &mut scratch),
                         bound <= lex_key
                     );
                 } else {
-                    assert!(!LexMaxMin.prefix_cannot_beat(
-                        &problem,
-                        &leaf[..k],
-                        &lex_key,
-                        &mut scratch
-                    ));
+                    assert!(!lex.prefix_cannot_beat(&problem, &leaf[..k], &lex_key, &mut scratch));
                 }
-                if let Some(bound) =
-                    ThroughputMaxMin.prefix_bound(&problem, &leaf[..k], &mut scratch)
-                {
+                if let Some(bound) = tput.prefix_bound(&problem, &leaf[..k], &mut scratch) {
                     assert!(
                         bound >= tput_key,
                         "throughput bound below a completion's key"
                     );
+                    assert!(bound <= tput_root, "a prefix bound above the root bound");
                 }
+            }
+        }
+    }
+
+    /// On an oversubscribed Benes network every flow of a terminal
+    /// permutation can get its interior cap (rearrangeability), so the
+    /// cap-tight root bounds are attained and the search stops early;
+    /// the host-link cover alone would charge each flow a full host link.
+    #[test]
+    fn cap_tight_root_bounds_meet_the_oversubscribed_benes_optimum() {
+        let benes = oversubscribed(&clos_net::BenesNetwork::standard(2), 4);
+        let flows = host_flows(&benes, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let problem = Problem::new(&benes, &flows);
+        let mut scratch = EvalScratch::default();
+        let quarter = Rational::new(1, 4);
+        let tput_root = Objective::<clos_net::BenesNetwork>::root_bound(
+            &ThroughputMaxMin,
+            &problem,
+            &mut scratch,
+        );
+        assert_eq!(tput_root, Some(Rational::ONE));
+        assert_eq!(
+            Objective::<clos_net::BenesNetwork>::root_bound(&LexMaxMin, &problem, &mut scratch)
+                .map(|b| b.rates().to_vec()),
+            Some(vec![quarter; 4])
+        );
+        for threads in [1, 2, 4] {
+            let config = SearchConfig {
+                threads: Some(threads),
+                no_prune: false,
+                trace_sample: None,
+            };
+            let (tput, tput_stats) = run_search(&benes, &flows, &ThroughputMaxMin, config);
+            let (lex, lex_stats) = run_search(&benes, &flows, &LexMaxMin, config);
+            let exhaustive = SearchConfig {
+                no_prune: true,
+                ..config
+            };
+            assert_eq!(
+                tput,
+                run_search(&benes, &flows, &ThroughputMaxMin, exhaustive).0
+            );
+            assert_eq!(lex, run_search(&benes, &flows, &LexMaxMin, exhaustive).0);
+            for stats in [&tput_stats, &lex_stats] {
+                let p = &stats.profile;
+                assert!(
+                    p.proven_blocks + p.blocks_skipped > 0,
+                    "the proven exit did not fire at {threads} threads"
+                );
             }
         }
     }
@@ -1222,13 +1524,18 @@ mod tests {
     fn check_engine_matches_first_wins_scan(coords: &[(usize, usize, usize, usize)]) {
         let clos = ClosNetwork::standard(2);
         let flows = flows_from_coords(&clos, coords);
-        let problem = Problem::new(&clos, &flows);
+        check_engine_matches_first_wins_scan_on(&clos, &flows);
+        check_engine_matches_first_wins_scan_on(&oversubscribed(&clos, 4), &flows);
+    }
+
+    fn check_engine_matches_first_wins_scan_on<F: Fabric + Sync>(fabric: &F, flows: &[Flow]) {
+        let problem = Problem::new(fabric, flows);
         let mut scratch = EvalScratch::default();
         // Reference: sequential first-wins scan over all leaves.
         let mut expect: Option<(Vec<usize>, Rational)> = None;
-        for leaf in all_leaves(&clos, &flows) {
+        for leaf in all_leaves(fabric, flows) {
             problem.evaluate(&mut scratch, &leaf);
-            let key = Objective::<ClosNetwork>::key(&ThroughputMaxMin, &mut scratch);
+            let key = Objective::<F>::key(&ThroughputMaxMin, &mut scratch);
             if expect.as_ref().is_none_or(|(_, b)| key > *b) {
                 expect = Some((leaf, key));
             }
@@ -1240,38 +1547,33 @@ mod tests {
                 no_prune,
                 trace_sample: None,
             };
-            let (got, _) = run_search(&clos, &flows, &ThroughputMaxMin, config);
+            let (got, _) = run_search(fabric, flows, &ThroughputMaxMin, config);
             assert_eq!(got, expect_leaf, "threads={threads} no_prune={no_prune}");
         }
     }
 
     /// Statistics are identical across thread counts (the block
-    /// decomposition, not the schedule, defines them).
+    /// decomposition and the wave rule, not the schedule, define them),
+    /// on the uniform fabric and on its 4:1 overlay, where the proven
+    /// exit fires most.
     fn check_stats_identical_across_thread_counts(coords: &[(usize, usize, usize, usize)]) {
         let clos = ClosNetwork::standard(2);
         let flows = flows_from_coords(&clos, coords);
-        let one = run_search(
-            &clos,
-            &flows,
-            &LexMaxMin,
-            SearchConfig {
-                threads: Some(1),
+        let overlay = oversubscribed(&clos, 4);
+        for fabric in [&clos, &overlay] {
+            let config = |threads| SearchConfig {
+                threads: Some(threads),
                 no_prune: false,
                 trace_sample: None,
-            },
-        );
-        for threads in [2, 5, 16] {
-            let multi = run_search(
-                &clos,
-                &flows,
-                &LexMaxMin,
-                SearchConfig {
-                    threads: Some(threads),
-                    no_prune: false,
-                    trace_sample: None,
-                },
-            );
-            assert_eq!(one, multi, "threads={threads}");
+            };
+            let lex = run_search(fabric, &flows, &LexMaxMin, config(1));
+            let tput = run_search(fabric, &flows, &ThroughputMaxMin, config(1));
+            for threads in [2, 5, 16] {
+                let multi = run_search(fabric, &flows, &LexMaxMin, config(threads));
+                assert_eq!(lex, multi, "lex, threads={threads}");
+                let multi = run_search(fabric, &flows, &ThroughputMaxMin, config(threads));
+                assert_eq!(tput, multi, "throughput, threads={threads}");
+            }
         }
     }
 
@@ -1301,6 +1603,16 @@ mod tests {
             coords in prop::collection::vec((0..4usize, 0..2usize, 0..4usize, 0..2usize), 2..=5)
         ) {
             check_bounds_admissible(&coords);
+        }
+
+        #[test]
+        fn prefix_bounds_are_admissible_on_oversubscribed_benes(
+            pairs in prop::collection::vec((0..4usize, 0..4usize), 2..=5),
+            shift in 0..3u32,
+        ) {
+            let oversub = 1u32 << shift;
+            let benes = oversubscribed(&clos_net::BenesNetwork::standard(2), oversub);
+            check_bounds_admissible_on(&benes, &host_flows(&benes, &pairs));
         }
 
         #[test]

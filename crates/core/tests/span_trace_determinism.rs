@@ -45,7 +45,10 @@ const INSTANCES: &[&[(usize, usize, usize, usize)]] = &[
 fn profiles_and_span_trees_are_thread_count_invariant() {
     // Part 1: SearchStats (including the profile) are identical for 1,
     // 2, 4, and 16 threads, with and without branch sampling, and the
-    // profile's internal invariants hold.
+    // profile's internal invariants hold. That includes the proven-exit
+    // provenance (`proven_blocks`, `blocks_skipped`), which must also
+    // fire somewhere, or its invariance would be vacuous.
+    let mut exits = 0;
     for (k, coords) in INSTANCES.iter().enumerate() {
         let clos = ClosNetwork::standard(2);
         let flows = flows_from(&clos, coords);
@@ -67,6 +70,22 @@ fn profiles_and_span_trees_are_thread_count_invariant() {
                     "stats diverged: instance {k}, {threads} threads, sample {sample:?}"
                 );
                 assert_eq!(one_alloc.allocation.rates(), alloc.allocation.rates());
+            }
+            let (tput_alloc, tput_stats) = search_throughput_max_min_with(&clos, &flows, cfg1);
+            for threads in [2, 4, 16] {
+                let cfg = SearchConfig {
+                    threads: Some(threads),
+                    ..cfg1
+                };
+                let (alloc, stats) = search_throughput_max_min_with(&clos, &flows, cfg);
+                assert_eq!(
+                    tput_stats, stats,
+                    "throughput stats diverged: instance {k}, {threads} threads, sample {sample:?}"
+                );
+                assert_eq!(tput_alloc.allocation.rates(), alloc.allocation.rates());
+            }
+            for p in [&one_stats.profile, &tput_stats.profile] {
+                exits += p.proven_blocks + p.blocks_skipped;
             }
 
             let p = &one_stats.profile;
@@ -115,10 +134,20 @@ fn profiles_and_span_trees_are_thread_count_invariant() {
             );
             assert_eq!(np.1.pruned, 0);
             assert_eq!(np.1.profile.bound_pruned + np.1.profile.root_pruned, 0);
+            assert_eq!(
+                np.1.profile.proven_blocks, 0,
+                "no_prune must not stop early"
+            );
+            assert_eq!(
+                np.1.profile.blocks_skipped, 0,
+                "no_prune must not skip blocks"
+            );
             assert!(np.1.profile.blocks_exhausted >= 1);
             assert!(np.1.routings_examined >= one_stats.routings_examined);
+            assert!(np.1.routings_examined >= tput_stats.routings_examined);
         }
     }
+    assert!(exits > 0, "no instance exercised the proven-optimum exit");
 
     // Part 2: the stable span exports are byte-identical for 1 vs 4
     // threads — the acceptance bar for `repro --stable --trace`.

@@ -119,8 +119,8 @@ impl<S: Scalar> WaterfillInstance<S> {
     pub fn compile(net: &Network) -> WaterfillInstance<S> {
         let mut instance = WaterfillInstance {
             dense_of_link: vec![None; net.link_count()],
-            link_ids: Vec::new(),
-            capacities: Vec::new(),
+            link_ids: Vec::with_capacity(net.link_count()),
+            capacities: Vec::with_capacity(net.link_count()),
         };
         for link in net.links() {
             if let Some(cap) = link.capacity().finite() {
@@ -508,6 +508,14 @@ impl<S: Scalar> WaterfillScratch<S> {
             bottleneck_of: Vec::new(),
             warm: false,
         }
+    }
+
+    /// Makes room for `flows` flow boundaries and `entries` link entries,
+    /// so describing a collection of known size never regrows the flow
+    /// tables.
+    pub(crate) fn reserve(&mut self, flows: usize, entries: usize) {
+        self.flow_starts.reserve(flows);
+        self.flow_links.reserve(entries);
     }
 
     /// Starts describing a new flow collection (clears the previous one,

@@ -201,6 +201,8 @@ pub(crate) fn compile_and_run<S: Scalar>(
     // array of just those, so no per-link `Option<S>` is ever unwrapped.
     let instance = WaterfillInstance::<S>::compile(net);
     let mut scratch = WaterfillScratch::new();
+    let entries = routing.paths().iter().map(|p| p.links().len()).sum();
+    scratch.reserve(routing.len() + 1, entries);
     scratch.begin();
     let mut buf: Vec<usize> = Vec::new();
     for (i, path) in routing.paths().iter().enumerate() {

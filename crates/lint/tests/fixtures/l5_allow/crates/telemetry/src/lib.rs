@@ -118,3 +118,20 @@ pub fn touch_topology() {
     counters::TOPOLOGY_BUILDS.incr();
     counters::FABRIC_CLASSES.incr();
 }
+
+/// Registered statics of the search engine's proven-optimum exit — the
+/// production `search.proven_blocks` / `search.blocks_skipped` names
+/// must pass the scheme, uniqueness, and snapshot-key collision checks.
+pub mod search_exit {
+    use super::Counter;
+    /// Blocks whose walk stopped at a proven optimum.
+    pub static SEARCH_PROVEN_BLOCKS: Counter = Counter::new("search.proven_blocks");
+    /// Blocks never started past the wave that proved the optimum.
+    pub static SEARCH_BLOCKS_SKIPPED: Counter = Counter::new("search.blocks_skipped");
+}
+
+/// Instrumentation site referencing the exit statics registered above.
+pub fn touch_search_exit() {
+    counters::SEARCH_PROVEN_BLOCKS.incr();
+    counters::SEARCH_BLOCKS_SKIPPED.incr();
+}

@@ -148,9 +148,12 @@ impl ClosNetwork {
     pub fn with_params(params: ClosParams) -> ClosNetwork {
         params.validate();
         let cap = Capacity::finite_value(params.link_capacity);
-        let mut net = Network::new();
-        let mut node_locs = Vec::new();
-        let mut link_locs = Vec::new();
+        let hosts = params.tor_pairs * params.hosts_per_tor;
+        let node_count = 2 * hosts + 2 * params.tor_pairs + params.middle_switches;
+        let link_count = 2 * hosts + 2 * params.tor_pairs * params.middle_switches;
+        let mut net = Network::with_capacity(node_count, link_count);
+        let mut node_locs = Vec::with_capacity(node_count);
+        let mut link_locs = Vec::with_capacity(link_count);
 
         let mut sources = Vec::with_capacity(params.tor_pairs);
         let mut destinations = Vec::with_capacity(params.tor_pairs);

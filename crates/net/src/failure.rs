@@ -34,12 +34,28 @@ use std::collections::BTreeMap;
 
 use clos_rational::Rational;
 
-use crate::{Capacity, ClosNetwork, LinkId};
+use crate::{Capacity, ClosNetwork, LinkId, Network, NodeKind};
 
 /// New absolute capacities for a subset of links, keyed by stable
 /// [`LinkId`]. A `BTreeMap` keeps iteration (and hence application and
 /// `Debug` output) in deterministic identifier order.
 pub type CapacityMap = BTreeMap<LinkId, Capacity>;
+
+/// Overlay scaling every switch↔switch link of `net` to `nominal /
+/// oversub` (host access links keep their capacity, mirroring the
+/// fat-tree's native oversubscription, which only rescales an interior
+/// tier): the oversubscribed Clos and Benes fabrics of experiment e15.
+#[must_use]
+pub fn interior_overlay(net: &Network, nominal: Rational, oversub: u32) -> CapacityMap {
+    let scaled = Capacity::finite_value(nominal / Rational::from_integer(i128::from(oversub)));
+    net.links()
+        .filter(|l| {
+            net.node(l.src()).kind() != NodeKind::Source
+                && net.node(l.dst()).kind() != NodeKind::Destination
+        })
+        .map(|l| (l.id(), scaled))
+        .collect()
+}
 
 /// One failure event, expressed in Clos coordinates so schedules stay
 /// meaningful across structurally identical fabrics.

@@ -56,7 +56,9 @@ pub use crate::benes::BenesNetwork;
 pub use crate::capacity::Capacity;
 pub use crate::clos::{ClosNetwork, ClosParams};
 pub use crate::fabric::Fabric;
-pub use crate::failure::{apply_event, CapacityMap, FailureEvent, FailureSchedule};
+pub use crate::failure::{
+    apply_event, interior_overlay, CapacityMap, FailureEvent, FailureSchedule,
+};
 pub use crate::fat_tree::FatTree;
 pub use crate::flow::{validate_flows, Flow, FlowError};
 pub use crate::ids::{FlowId, LinkId, NodeId};

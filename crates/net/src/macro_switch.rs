@@ -78,8 +78,11 @@ impl MacroSwitch {
             "link capacity must be positive"
         );
         let cap = Capacity::finite_value(params.link_capacity);
-        let mut net = Network::new();
-        let mut coords = Vec::new();
+        let hosts = params.tor_pairs * params.hosts_per_tor;
+        let node_count = 2 * hosts + 2 * params.tor_pairs;
+        let link_count = 2 * hosts + params.tor_pairs * params.tor_pairs;
+        let mut net = Network::with_capacity(node_count, link_count);
+        let mut coords = Vec::with_capacity(node_count);
 
         let mut sources = Vec::with_capacity(params.tor_pairs);
         for i in 0..params.tor_pairs {

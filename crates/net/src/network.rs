@@ -203,6 +203,19 @@ impl Network {
         Network::default()
     }
 
+    /// Creates an empty network with room for `nodes` nodes and `links`
+    /// links, so builders that know their size up front never regrow the
+    /// tables.
+    #[must_use]
+    pub fn with_capacity(nodes: usize, links: usize) -> Network {
+        Network {
+            nodes: Vec::with_capacity(nodes),
+            links: Vec::with_capacity(links),
+            out_links: Vec::with_capacity(nodes),
+            in_links: Vec::with_capacity(nodes),
+        }
+    }
+
     /// Adds a node with the given role and label, returning its identifier.
     pub fn add_node(&mut self, kind: NodeKind, label: impl Into<String>) -> NodeId {
         let id = NodeId::from(self.nodes.len());

@@ -221,6 +221,12 @@ pub mod counters {
     /// Assignment subtrees skipped by branch-and-bound pruning (their
     /// admissible objective bound could not beat an incumbent).
     pub static SEARCH_PRUNED: Counter = Counter::new("search.pruned");
+    /// Search blocks whose walk stopped early at a proven optimum (an
+    /// incumbent that reached the objective's root bound).
+    pub static SEARCH_PROVEN_BLOCKS: Counter = Counter::new("search.proven_blocks");
+    /// Search blocks never started because an earlier wave proved the
+    /// optimum (not prunes: `search.pruned` does not count them).
+    pub static SEARCH_BLOCKS_SKIPPED: Counter = Counter::new("search.blocks_skipped");
     /// Water-filling runs served by an already-warm scratch buffer (no
     /// fresh allocations; see `clos-fairness`'s compiled pipeline).
     pub static WATERFILL_SCRATCH_REUSE: Counter = Counter::new("waterfill.scratch_reuse");
@@ -264,7 +270,7 @@ pub mod counters {
 
     /// Every registered counter, in a stable order.
     #[must_use]
-    pub fn all() -> [&'static Counter; 31] {
+    pub fn all() -> [&'static Counter; 33] {
         [
             &WATERFILL_CALLS,
             &WATERFILL_ROUNDS,
@@ -282,6 +288,8 @@ pub mod counters {
             &SEARCH_ASSIGNMENTS,
             &SEARCH_IMPROVEMENTS,
             &SEARCH_PRUNED,
+            &SEARCH_PROVEN_BLOCKS,
+            &SEARCH_BLOCKS_SKIPPED,
             &WATERFILL_SCRATCH_REUSE,
             &CHURN_EVENTS,
             &CHURN_ARRIVALS,
