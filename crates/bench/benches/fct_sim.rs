@@ -27,6 +27,19 @@ fn bench_fct(c: &mut Criterion) {
             b.iter(|| black_box(simulate_fct(&clos, &config, Transport::Scheduling)));
         });
     }
+    // E7's hardest cell: C_3 at offered load 1.6 with 2000 fixed-size
+    // flows, where the scheduling transport's waiting set is largest.
+    let clos = ClosNetwork::standard(3);
+    let hosts = (clos.tor_count() * clos.hosts_per_tor()) as f64;
+    let config = FctConfig {
+        arrival_rate: 1.6 * hosts,
+        size_dist: SizeDist::Fixed(1.0),
+        flow_count: 2000,
+        seed: 1,
+    };
+    group.bench_function("scheduling_e7_c3_load1.6", |b| {
+        b.iter(|| black_box(simulate_fct(&clos, &config, Transport::Scheduling)));
+    });
     group.finish();
 }
 

@@ -4,7 +4,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
-use clos_core::routers::{macro_demands, EcmpRouter, GreedyRouter, LocalSearchRouter, Router};
+use clos_core::routers::{
+    macro_demands, AnnealingRouter, EcmpRouter, GreedyRouter, LocalSearchRouter, Router,
+};
 use clos_net::{ClosNetwork, MacroSwitch};
 use clos_sim::rate_ratio_study;
 use clos_workloads::Workload;
@@ -35,6 +37,13 @@ fn bench_routers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("local_search", n), &n, |b, _| {
             b.iter(|| {
                 let mut r = LocalSearchRouter::new(4);
+                black_box(rate_ratio_study(&clos, &ms, &flows, &mut r))
+            });
+        });
+        // 800 proposed moves, the budget E6 gives the annealing router.
+        group.bench_with_input(BenchmarkId::new("annealing", n), &n, |b, _| {
+            b.iter(|| {
+                let mut r = AnnealingRouter::new(1, 800);
                 black_box(rate_ratio_study(&clos, &ms, &flows, &mut r))
             });
         });

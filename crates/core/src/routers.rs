@@ -17,6 +17,8 @@
 //! control (the max-min fair allocation for that routing) is applied
 //! downstream by `clos-fairness`.
 
+use std::cmp::Ordering;
+
 use clos_net::{ClosNetwork, Fabric, Flow, LinkId, MacroSwitch, NodeKind, Routing};
 use clos_rational::Rational;
 use rand::rngs::StdRng;
@@ -144,14 +146,67 @@ impl RouteView {
     }
 
     /// Fills `out` with the sorted-descending congestion vector of the
-    /// interior links, reusing `out`'s capacity — the local-search and
-    /// annealing inner loops recompute this per candidate move, so a
-    /// fresh `Vec` per call was the routers' dominant allocation churn.
+    /// interior links, reusing `out`'s capacity. Moves are compared by
+    /// [`cmp_by_delta`] without it; annealing materialises the vector only
+    /// for a move that beats the current assignment, to compare it with
+    /// the best one seen.
     fn congestion_vector_into(&self, out: &mut Vec<Rational>) {
         out.clear();
         out.extend(self.interior.iter().map(|&l| self.loads[l.index()]));
         out.sort_unstable_by(|a, b| b.cmp(a));
     }
+
+    /// Appends to `out` what moving `flow` (carrying `demand`) from class
+    /// `from` to class `to` does to the congestion vector: `(old, -1)` and
+    /// `(new, +1)` for each interior link whose load the move changes.
+    /// Links on both paths keep their load and contribute nothing. The
+    /// loads themselves are left untouched.
+    fn push_move_delta(
+        &self,
+        flow: usize,
+        from: usize,
+        to: usize,
+        demand: Rational,
+        out: &mut Vec<(Rational, i32)>,
+    ) {
+        let (left, joined) = (
+            self.interior_links(flow, from),
+            self.interior_links(flow, to),
+        );
+        for &l in left.iter().filter(|l| !joined.contains(l)) {
+            let old = self.loads[l.index()];
+            out.extend([(old, -1), (old - demand, 1)]);
+        }
+        for &l in joined.iter().filter(|l| !left.contains(l)) {
+            let old = self.loads[l.index()];
+            out.extend([(old, -1), (old + demand, 1)]);
+        }
+    }
+}
+
+/// Compares two descending-sorted vectors of equal length, `a` and `b`,
+/// from their multiset difference alone: `delta` holds `(v, +1)` for each
+/// value `a` has over `b` and `(v, -1)` for each value `b` has over `a`
+/// (entries for the same value may cancel). The vectors agree on every
+/// value above the largest one whose net count is nonzero, so that value
+/// decides: a positive count means `a` holds it where `b` already holds
+/// something smaller, so `a` is greater. No such value means equal.
+///
+/// A single-flow move changes a handful of loads, so this costs
+/// `O(k log k)` in the touched links instead of sorting every link. It
+/// sorts `delta` in place.
+fn cmp_by_delta(delta: &mut [(Rational, i32)]) -> Ordering {
+    delta.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
+    let mut rest = &delta[..];
+    while let Some(&(value, _)) = rest.first() {
+        let run = rest.iter().take_while(|e| e.0 == value).count();
+        let net: i32 = rest[..run].iter().map(|e| e.1).sum();
+        if net != 0 {
+            return net.cmp(&0);
+        }
+        rest = &rest[run..];
+    }
+    Ordering::Equal
 }
 
 /// ECMP: every flow independently hashes to a uniformly random middle
@@ -329,38 +384,34 @@ impl<F: Fabric> Router<F> for LocalSearchRouter {
         let n = view.n;
         let mut assignment = GreedyRouter::assignment(&mut view, demands, flows);
 
-        // One congestion buffer each for the current assignment, the
-        // candidate move, and the best move seen, swapped rather than
-        // reallocated.
-        let mut current = Vec::with_capacity(view.interior.len());
-        let mut candidate = Vec::with_capacity(view.interior.len());
-        let mut best_vec = Vec::with_capacity(view.interior.len());
+        // Each move is scored by its delta against the current assignment
+        // (`candidate`); `best` holds the delta of the best move so far, and
+        // `diff` the candidate-minus-best comparison buffer.
+        let mut candidate = Vec::new();
+        let mut best: Vec<(Rational, i32)> = Vec::new();
+        let mut diff = Vec::new();
         for _ in 0..self.max_rounds {
             let mut improved = false;
             for i in 0..flows.len() {
                 if demands[i].is_zero() {
                     continue;
                 }
-                view.congestion_vector_into(&mut current);
                 let from = assignment[i];
                 let mut best_move = None;
                 for c in 0..n {
                     if c == from {
                         continue;
                     }
-                    view.remove(i, from, demands[i]);
-                    view.place(i, c, demands[i]);
-                    view.congestion_vector_into(&mut candidate);
-                    let better = match best_move {
-                        None => candidate < current,
-                        Some(_) => candidate < best_vec,
-                    };
-                    if better {
-                        best_move = Some(c);
-                        std::mem::swap(&mut best_vec, &mut candidate);
+                    candidate.clear();
+                    view.push_move_delta(i, from, c, demands[i], &mut candidate);
+                    diff.clone_from(&candidate);
+                    if best_move.is_some() {
+                        diff.extend(best.iter().map(|&(v, s)| (v, -s)));
                     }
-                    view.remove(i, c, demands[i]);
-                    view.place(i, from, demands[i]);
+                    if cmp_by_delta(&mut diff) == Ordering::Less {
+                        best_move = Some(c);
+                        std::mem::swap(&mut best, &mut candidate);
+                    }
                 }
                 if let Some(c) = best_move {
                     view.remove(i, from, demands[i]);
@@ -466,13 +517,15 @@ impl<F: Fabric> Router<F> for AnnealingRouter {
         let n = view.n;
         let mut rng = StdRng::seed_from_u64(self.seed);
 
-        // Seed with greedy, then anneal.
+        // Seed with greedy, then anneal. Only the best assignment's
+        // congestion vector is kept; the current one lives in the view's
+        // loads, and moves are compared against it by their delta.
         let mut assignment = GreedyRouter::assignment(&mut view, demands, flows);
-        let mut current_score = Vec::with_capacity(view.interior.len());
-        view.congestion_vector_into(&mut current_score);
         let mut best = assignment.clone();
-        let mut best_score = current_score.clone();
+        let mut best_score = Vec::with_capacity(view.interior.len());
+        view.congestion_vector_into(&mut best_score);
         let mut candidate = Vec::with_capacity(view.interior.len());
+        let mut delta = Vec::new();
 
         if flows.is_empty() || n < 2 {
             return flows
@@ -488,24 +541,27 @@ impl<F: Fabric> Router<F> for AnnealingRouter {
             }
             let from = assignment[i];
             let to = (from + rng.gen_range(1..n)) % n;
-            view.remove(i, from, demands[i]);
-            view.place(i, to, demands[i]);
-            view.congestion_vector_into(&mut candidate);
+            delta.clear();
+            view.push_move_delta(i, from, to, demands[i], &mut delta);
+            let versus_current = cmp_by_delta(&mut delta);
             // Acceptance: always when improving, with decaying probability
             // otherwise (temperature halves every eighth of the budget).
             let phase = 8 * step / self.iterations.max(1);
             let accept_prob = 0.5f64.powi(phase as i32 + 1);
-            let accept = candidate <= current_score || rng.gen::<f64>() < accept_prob;
+            let accept = versus_current != Ordering::Greater || rng.gen::<f64>() < accept_prob;
             if accept {
+                view.remove(i, from, demands[i]);
+                view.place(i, to, demands[i]);
                 assignment[i] = to;
-                if candidate < best_score {
-                    best_score.clone_from(&candidate);
-                    best.clone_from(&assignment);
+                // best <= current always holds, so only a move that beats
+                // the current assignment can beat the best one.
+                if versus_current == Ordering::Less {
+                    view.congestion_vector_into(&mut candidate);
+                    if candidate < best_score {
+                        std::mem::swap(&mut best_score, &mut candidate);
+                        best.clone_from(&assignment);
+                    }
                 }
-                std::mem::swap(&mut current_score, &mut candidate);
-            } else {
-                view.remove(i, to, demands[i]);
-                view.place(i, from, demands[i]);
             }
         }
         flows
@@ -776,6 +832,110 @@ mod tests {
         let out = route_and_allocate(&mut EcmpRouter::new(3), &clos, &ms, &flows);
         assert!(out.allocation.rates().iter().all(|&x| x <= Rational::ONE));
         assert!(out.allocation.rates().iter().all(|&x| x.is_positive()));
+    }
+
+    fn sorted_desc(mut v: Vec<Rational>) -> Vec<Rational> {
+        v.sort_unstable_by(|a, b| b.cmp(a));
+        v
+    }
+
+    /// Sets `(index, value)` changes on a copy of `base` (the first change
+    /// to an index wins), returning the changed vector and its delta.
+    fn changed(
+        base: &[Rational],
+        changes: &[(usize, Rational)],
+    ) -> (Vec<Rational>, Vec<(Rational, i32)>) {
+        let mut out = base.to_vec();
+        let mut delta = Vec::new();
+        let mut touched = Vec::new();
+        for &(i, v) in changes {
+            if !touched.contains(&i) {
+                touched.push(i);
+                delta.extend([(base[i], -1), (v, 1)]);
+                out[i] = v;
+            }
+        }
+        (out, delta)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// `cmp_by_delta` orders like `Vec` comparison of the sorted
+        /// vectors, for a change against its base and for two changes of
+        /// one base against each other. Values are eighths in `0..=2`, so
+        /// ties are frequent, and both changes may touch the same indices.
+        #[test]
+        fn cmp_by_delta_matches_sorted_vec_order(
+            raw_base in proptest::collection::vec(0u8..17, 1..24),
+            raw_a in proptest::collection::vec((0usize..24, 0u8..17), 0..6),
+            raw_b in proptest::collection::vec((0usize..24, 0u8..17), 0..6),
+        ) {
+            let eighth = |x: u8| Rational::new(i128::from(x), 8);
+            let base: Vec<Rational> = raw_base.iter().map(|&x| eighth(x)).collect();
+            let change = |raw: &[(usize, u8)]| -> Vec<(usize, Rational)> {
+                raw.iter().map(|&(i, v)| (i % base.len(), eighth(v))).collect()
+            };
+            let (a, mut da) = changed(&base, &change(&raw_a));
+            let (b, db) = changed(&base, &change(&raw_b));
+            let (a, b, base) = (sorted_desc(a), sorted_desc(b), sorted_desc(base));
+            proptest::prop_assert_eq!(cmp_by_delta(&mut da.clone()), a.cmp(&base));
+            da.extend(db.iter().map(|&(v, s)| (v, -s)));
+            proptest::prop_assert_eq!(cmp_by_delta(&mut da), a.cmp(&b));
+        }
+
+        /// `push_move_delta` describes the move exactly, on fabrics whose
+        /// classes share interior links (fat-tree edge→aggregation links,
+        /// Benes first- and last-stage links): the delta's verdict equals
+        /// comparing the sorted vectors before and after applying it.
+        #[test]
+        fn move_delta_matches_applied_move(
+            benes in proptest::prelude::any::<bool>(),
+            picks in proptest::collection::vec((0usize..16, 0usize..16, 0usize..4, 0i128..5), 1..20),
+            moves in proptest::collection::vec((0usize..20, 1usize..4), 1..20),
+        ) {
+            fn check<F: Fabric>(
+                fabric: &F,
+                picks: &[(usize, usize, usize, i128)],
+                moves: &[(usize, usize)],
+            ) {
+                let net = fabric.network();
+                let sources = net.nodes_of_kind(NodeKind::Source);
+                let dests = net.nodes_of_kind(NodeKind::Destination);
+                let n = fabric.class_count();
+                let flows: Vec<Flow> = picks
+                    .iter()
+                    .map(|&(s, d, _, _)| Flow::new(sources[s % sources.len()], dests[d % dests.len()]))
+                    .collect();
+                let demands: Vec<Rational> = picks.iter().map(|p| Rational::new(p.3, 4)).collect();
+                let mut view = RouteView::new(fabric, &flows);
+                let mut assignment: Vec<usize> = picks.iter().map(|p| p.2 % n).collect();
+                for (i, &c) in assignment.iter().enumerate() {
+                    view.place(i, c, demands[i]);
+                }
+                let (mut before, mut after, mut delta) = (Vec::new(), Vec::new(), Vec::new());
+                for &(i, step) in moves {
+                    let i = i % flows.len();
+                    let (from, to) = (assignment[i], (assignment[i] + step) % n);
+                    if from == to {
+                        continue;
+                    }
+                    view.congestion_vector_into(&mut before);
+                    delta.clear();
+                    view.push_move_delta(i, from, to, demands[i], &mut delta);
+                    view.remove(i, from, demands[i]);
+                    view.place(i, to, demands[i]);
+                    assignment[i] = to;
+                    view.congestion_vector_into(&mut after);
+                    assert_eq!(cmp_by_delta(&mut delta), after.cmp(&before));
+                }
+            }
+            if benes {
+                check(&clos_net::BenesNetwork::standard(3), &picks, &moves);
+            } else {
+                check(&clos_net::FatTree::new(4, Rational::TWO), &picks, &moves);
+            }
+        }
     }
 
     #[test]

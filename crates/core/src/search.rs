@@ -1152,7 +1152,7 @@ pub fn run_search<F: Fabric + Sync, O: Objective<F>>(
     let waves = match &ceiling {
         // Without a root bound no block can prove the optimum, so every
         // block runs, as one wave: no worker waits between blocks.
-        None => vec![0..blocks.len()],
+        None => std::iter::once(0..blocks.len()).collect(),
         // A seed that already meets the root bound is the proven optimum:
         // no block runs.
         Some(bound) if bound_cannot_beat(bound, &seed_key) => Vec::new(),

@@ -10,9 +10,11 @@
 //!
 //! * [`Transport::FairSharing`] — every active flow gets its max-min fair
 //!   rate (recomputed on each arrival/departure), or
-//! * [`Transport::Scheduling`] — flows are admitted in arrival order
-//!   whenever their whole path is idle and then run at full link rate;
-//!   blocked flows wait.
+//! * [`Transport::Scheduling`] — preemptive priority in arrival order:
+//!   after every event, flows are taken in arrival order and each one whose
+//!   whole path is free of the flows admitted before it runs at full link
+//!   rate; the rest wait. A departure can therefore hand links to an
+//!   earlier-arrived waiting flow and stop a later one that was running.
 //!
 //! Arrivals and departures are events of one [`ChurnEngine`] per run (the
 //! flow-level model of Shah & Xie, arXiv 1710.02548), which places each
@@ -87,8 +89,11 @@ impl SizeDist {
 pub enum Transport {
     /// Max-min fair sharing (congestion control), recomputed per event.
     FairSharing,
-    /// FIFO admission scheduling: a flow runs at rate 1 once every link of
-    /// its path is free of other admitted flows; otherwise it waits.
+    /// Preemptive priority scheduling in arrival order: after every event,
+    /// a flow runs at rate 1 iff no earlier-arrived running flow holds a
+    /// link of its path; otherwise it waits. A running flow is stopped when
+    /// a departure frees the path of an earlier-arrived waiting flow that
+    /// shares one of its links.
     Scheduling,
 }
 
@@ -141,11 +146,94 @@ pub struct FctStats {
 struct Active {
     /// Engine key: the flow's arrival sequence number.
     key: u64,
-    flow: Flow,
-    middle: usize,
+    /// Indices of the four links of the flow's path, fixed at arrival.
+    links: [usize; 4],
     remaining: f64,
     arrival: f64,
     size: f64,
+}
+
+/// Admission state of [`Transport::Scheduling`], kept across events.
+///
+/// Admission is greedy in arrival order: a flow runs iff no earlier-arrived
+/// admitted flow holds one of its links. A flow's fate therefore depends
+/// only on the flows that arrived before it, so an event invalidates
+/// admission only from its own position in arrival order onward: an
+/// arrival (always the latest key) from the end, a departure from where
+/// the departed flow stood. [`Admission::refresh`] redoes exactly that
+/// suffix.
+struct Admission {
+    /// Live keys in arrival order; keys are arrival sequence numbers, so
+    /// appending on arrival keeps it sorted.
+    order: Vec<u64>,
+    /// Index into the active list of each live key (indexed by key).
+    slot: Vec<usize>,
+    /// Whether an admitted flow holds the link.
+    used: Vec<bool>,
+    /// First position of `order` whose admission may be stale.
+    stale_from: usize,
+}
+
+impl Admission {
+    fn new(link_count: usize, flow_count: usize) -> Admission {
+        Admission {
+            order: Vec::new(),
+            slot: vec![0; flow_count],
+            used: vec![false; link_count],
+            stale_from: 0,
+        }
+    }
+
+    /// Records the arrival of the flow now at `active[index]`.
+    fn arrive(&mut self, key: u64, index: usize) {
+        self.slot[key as usize] = index;
+        self.stale_from = self.stale_from.min(self.order.len());
+        self.order.push(key);
+    }
+
+    /// Records the departure of `a`, which ran at `rate`.
+    fn depart(&mut self, a: &Active, rate: f64) {
+        if rate > 0.0 {
+            for &l in &a.links {
+                self.used[l] = false;
+            }
+        }
+        let pos = self.order.partition_point(|&k| k < a.key);
+        self.order.remove(pos);
+        self.stale_from = self.stale_from.min(pos);
+    }
+
+    /// Records that the flow with `key` moved to `active[index]`.
+    fn moved(&mut self, key: u64, index: usize) {
+        self.slot[key as usize] = index;
+    }
+
+    /// Brings `rates` (parallel to `active`) up to date: releases the
+    /// links of every admitted flow in the stale suffix, then re-admits
+    /// that suffix in arrival order.
+    fn refresh(&mut self, active: &[Active], rates: &mut [f64]) {
+        let suffix = &self.order[self.stale_from..];
+        for &key in suffix {
+            let i = self.slot[key as usize];
+            if rates[i] > 0.0 {
+                for &l in &active[i].links {
+                    self.used[l] = false;
+                }
+                rates[i] = 0.0;
+            }
+        }
+        for &key in suffix {
+            let i = self.slot[key as usize];
+            let links = &active[i].links;
+            if links.iter().all(|&l| !self.used[l]) {
+                for &l in links {
+                    self.used[l] = true;
+                }
+                rates[i] = 1.0;
+            }
+        }
+        self.stale_from = self.order.len();
+    }
 }
 
 /// The fate of one simulated flow.
@@ -218,22 +306,36 @@ pub fn simulate_fct_records(
 ) -> (FctStats, Vec<FlowRecord>) {
     assert!(config.flow_count > 0, "flow_count must be positive");
     assert!(config.arrival_rate > 0.0, "arrival rate must be positive");
+    let _span = clos_telemetry::span("fct");
     let mut rng = StdRng::seed_from_u64(config.seed);
     let hosts = clos.tor_count() * clos.hosts_per_tor();
 
     // Pre-generate the arrival process.
     let mut arrivals = Vec::with_capacity(config.flow_count);
     let mut t_arr = 0.0;
-    for seq in 0..config.flow_count {
+    for _ in 0..config.flow_count {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         t_arr += -u.ln() / config.arrival_rate;
         let src = rng.gen_range(0..hosts);
         let dst = rng.gen_range(0..hosts);
         let size = config.size_dist.sample(&mut rng);
         assert!(size > 0.0, "flow sizes must be positive");
-        arrivals.push((t_arr, src, dst, size, seq));
+        arrivals.push((t_arr, src, dst, size));
     }
+    simulate_arrivals(clos, &arrivals, transport)
+}
 
+/// One flow of an arrival process: arrival time, source host, destination
+/// host (hosts numbered ToR by ToR), and size.
+type Arrival = (f64, usize, usize, f64);
+
+/// The event loop of [`simulate_fct_records`] over a given arrival process,
+/// sorted by arrival time; the flow at index `i` gets engine key `i`.
+fn simulate_arrivals(
+    clos: &ClosNetwork,
+    arrivals: &[Arrival],
+    transport: Transport,
+) -> (FctStats, Vec<FlowRecord>) {
     // One engine per run, keyed by arrival sequence. It never flushes on
     // its own: fair sharing flushes before each rate read, scheduling only
     // uses its placements.
@@ -246,52 +348,35 @@ pub fn simulate_fct_records(
         },
     );
     let mut active: Vec<Active> = Vec::new();
+    // Per-flow rates, parallel to `active` and reused across events.
+    let mut rates: Vec<f64> = Vec::new();
+    let mut admission = match transport {
+        Transport::FairSharing => None,
+        Transport::Scheduling => Some(Admission::new(clos.network().link_count(), arrivals.len())),
+    };
     let mut records: Vec<FlowRecord> = Vec::new();
     let mut now = 0.0f64;
     let mut next_arrival = 0usize;
     let mut makespan = 0.0f64;
-
-    let compute_rates = |engine: &mut ChurnEngine<TotalF64>, active: &[Active]| -> Vec<f64> {
-        match transport {
-            Transport::FairSharing => {
-                engine.flush();
-                active
-                    .iter()
-                    .map(|a| {
-                        engine
-                            .rate(a.key)
-                            .expect("active flows are live in the engine")
-                            .get()
-                    })
-                    .collect()
-            }
-            Transport::Scheduling => {
-                // FIFO admission: scan in arrival order, admit flows whose
-                // entire path is free of admitted flows.
-                let mut order: Vec<usize> = (0..active.len()).collect();
-                order.sort_by_key(|&i| active[i].key);
-                let mut used = vec![false; clos.network().link_count()];
-                let mut rates = vec![0.0; active.len()];
-                for &i in &order {
-                    let path = clos.path_via(active[i].flow, active[i].middle);
-                    if path.links().iter().all(|e| !used[e.index()]) {
-                        for e in path.links() {
-                            used[e.index()] = true;
-                        }
-                        rates[i] = 1.0;
-                    }
-                }
-                rates
-            }
-        }
-    };
 
     const EPS: f64 = 1e-12;
     loop {
         if active.is_empty() && next_arrival == arrivals.len() {
             break;
         }
-        let rates = compute_rates(&mut engine, &active);
+        match &mut admission {
+            None => {
+                engine.flush();
+                rates.clear();
+                rates.extend(active.iter().map(|a| {
+                    engine
+                        .rate(a.key)
+                        .expect("active flows are live in the engine")
+                        .get()
+                }));
+            }
+            Some(admission) => admission.refresh(&active, &mut rates),
+        }
         // Next completion among flows with positive rate.
         let mut dt_complete = f64::INFINITY;
         for (a, &r) in active.iter().zip(&rates) {
@@ -321,6 +406,13 @@ pub fn simulate_fct_records(
             while i < active.len() {
                 if active[i].remaining <= EPS * active[i].size.max(1.0) {
                     let a = active.swap_remove(i);
+                    let rate = rates.swap_remove(i);
+                    if let Some(admission) = &mut admission {
+                        admission.depart(&a, rate);
+                        if let Some(moved) = active.get(i) {
+                            admission.moved(moved.key, i);
+                        }
+                    }
                     engine.apply(FlowEvent::Depart { key: a.key });
                     makespan = makespan.max(now);
                     records.push(FlowRecord {
@@ -334,26 +426,29 @@ pub fn simulate_fct_records(
             }
         }
         if dt_arrival <= dt_complete && next_arrival < arrivals.len() {
-            let (t, src, dst, size, seq) = arrivals[next_arrival];
+            let (t, src, dst, size) = arrivals[next_arrival];
             debug_assert!(t <= now + EPS, "arrival handled at its timestamp");
+            let key = next_arrival as u64;
             next_arrival += 1;
             let flow = Flow::new(
                 clos.source(src / clos.hosts_per_tor(), src % clos.hosts_per_tor()),
                 clos.destination(dst / clos.hosts_per_tor(), dst % clos.hosts_per_tor()),
             );
-            let key = seq as u64;
             engine.apply(FlowEvent::Arrive { key, flow });
             let middle = engine
                 .class_of(key)
                 .expect("an arrived flow is live in the engine");
+            if let Some(admission) = &mut admission {
+                admission.arrive(key, active.len());
+            }
             active.push(Active {
                 key,
-                flow,
-                middle,
+                links: clos.links_via(flow, middle).map(|l| l.index()),
                 remaining: size,
                 arrival: now,
                 size,
             });
+            rates.push(0.0);
         }
     }
 
@@ -369,7 +464,7 @@ pub fn simulate_fct_records(
         mean_fct: sorted.iter().sum::<f64>() / sorted.len() as f64,
         p50_fct: pct(0.50),
         p99_fct: pct(0.99),
-        max_fct: *sorted.last().expect("nonempty"),
+        max_fct: pct(1.0),
         mean_slowdown: records.iter().map(FlowRecord::slowdown).sum::<f64>() / records.len() as f64,
         makespan,
     };
@@ -539,6 +634,26 @@ mod tests {
             assert!(r.slowdown() >= 1.0 - 1e-9);
             assert!(r.arrival >= 0.0);
         }
+    }
+
+    #[test]
+    fn scheduling_preempts_a_later_flow_for_an_earlier_one() {
+        // A (t = 0) holds host 0's uplink until t = 2, so B (t = 0.5, also
+        // from host 0) waits. C (t = 1) shares no link with A and starts at
+        // once, but shares B's destination host link. When A departs, B
+        // outranks C in arrival order and takes that link: C stops at t = 2
+        // with one unit done and resumes when B finishes at t = 3.
+        let clos = ClosNetwork::standard(2);
+        let host = |tor: usize| tor * clos.hosts_per_tor();
+        let arrivals = [
+            (0.0, host(0), host(1), 2.0),
+            (0.5, host(0), host(2), 1.0),
+            (1.0, host(3), host(2), 2.0),
+        ];
+        let (stats, records) = simulate_arrivals(&clos, &arrivals, Transport::Scheduling);
+        let fates: Vec<(f64, f64)> = records.iter().map(|r| (r.arrival, r.fct)).collect();
+        assert_eq!(fates, [(0.0, 2.0), (0.5, 2.5), (1.0, 3.0)]);
+        assert_eq!(stats.makespan, 4.0);
     }
 
     #[test]

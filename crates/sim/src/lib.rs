@@ -11,7 +11,8 @@
 //! * [`fct`] — the scheduling discussion of §7 (R1): a discrete-event
 //!   flow-level simulator measuring flow completion times under max-min
 //!   fair congestion control versus an admission-control scheduler that
-//!   serializes flows at full link rate. Arrivals and departures drive a
+//!   runs flows at full link rate with preemptive priority in arrival
+//!   order. Arrivals and departures drive a
 //!   `clos-churn` engine, which places flows and maintains the fair rates.
 //!
 //! Both run the same compiled water-filling allocator as the exact
