@@ -155,8 +155,8 @@ fn run_e2(quick: bool, rec: &mut ExperimentRecord) {
 
 fn run_e3(quick: bool, rec: &mut ExperimentRecord) {
     let ns: Vec<usize> = if quick { vec![3] } else { vec![3, 4, 5, 8, 16] };
-    // n = 4 (29 flows) became exact-searchable; at n = 5 the backtracking
-    // space is still out of reach, so the certificate takes over there.
+    // The exact search decides n <= 4 (29 flows); from n = 5 the
+    // certificate takes over.
     let exact_limit = 4;
     rec.param("ns", format!("{ns:?}"));
     rec.param("exact_limit", exact_limit);

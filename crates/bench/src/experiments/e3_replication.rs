@@ -21,7 +21,7 @@ pub struct Row {
     pub flows: usize,
     /// Whether the first-fit heuristic found a feasible routing.
     pub first_fit: bool,
-    /// Whether exact backtracking found a feasible routing (`None` if the
+    /// Whether the exact search found a feasible routing (`None` if the
     /// exact search was skipped for size).
     pub exact: Option<bool>,
     /// Whether the Claim 4.5 arithmetic certificate proves infeasibility

@@ -173,6 +173,61 @@ impl CompiledInstance {
         }
         self.waterfill.run(wf);
     }
+
+    /// Routes fixed rates instead of water-filling: loads flow `i`'s
+    /// path via class `assignment[i]` with `rates[i]` (`assignment` may
+    /// cover just a prefix of the flow collection), after which
+    /// [`EvalScratch::fixed_rates_fit`] tells whether every link carries
+    /// at most its capacity.
+    ///
+    /// Incremental: only the flows past the longest prefix (classes and
+    /// rates) shared with the previous call on `scratch` are unloaded and
+    /// reloaded, so a depth-first walk pays one path per step. The loads
+    /// belong to this instance: give each instance its own scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assignment` is longer than `rates` or the flow
+    /// collection, or assigns a class `>= class_count()`.
+    pub(crate) fn route_fixed(
+        &self,
+        scratch: &mut EvalScratch,
+        rates: &[Rational],
+        assignment: &[usize],
+    ) {
+        assert!(
+            assignment.len() <= rates.len(),
+            "assignment longer than rates"
+        );
+        let loads = &mut scratch.fixed;
+        if loads.residual.len() != self.waterfill.link_count() {
+            loads.residual.clear();
+            loads
+                .residual
+                .extend((0..self.waterfill.link_count()).map(|l| self.waterfill.capacity(l)));
+            loads.applied.clear();
+            loads.overloaded = 0;
+        }
+        let keep = loads
+            .applied
+            .iter()
+            .zip(assignment.iter().zip(rates))
+            .take_while(|&(&applied, (&c, &rate))| applied == (c, rate))
+            .count();
+        for i in (keep..loads.applied.len()).rev() {
+            let (c, rate) = loads.applied[i];
+            for &l in self.path_links(i, c) {
+                loads.shift(l, rate);
+            }
+        }
+        loads.applied.truncate(keep);
+        for (i, (&c, &rate)) in assignment.iter().zip(rates).enumerate().skip(keep) {
+            for &l in self.path_links(i, c) {
+                loads.shift(l, -rate);
+            }
+            loads.applied.push((c, rate));
+        }
+    }
 }
 
 /// Per-worker evaluation scratch: water-filling buffers plus reusable
@@ -187,6 +242,31 @@ pub struct EvalScratch {
     up: Vec<LinkId>,
     /// Reusable fabric-downlink buffer for cover bounds.
     down: Vec<LinkId>,
+    /// Fixed-rate link loads of the latest [`CompiledInstance::route_fixed`].
+    fixed: FixedLoads,
+}
+
+/// Fixed-rate link loads of an assignment prefix, kept incrementally
+/// across [`CompiledInstance::route_fixed`] calls.
+#[derive(Clone, Debug, Default)]
+struct FixedLoads {
+    /// Capacity minus fixed-rate load, per dense link.
+    residual: Vec<Rational>,
+    /// Class and rate of each applied flow, in flow order.
+    applied: Vec<(usize, Rational)>,
+    /// Number of links with a negative residual.
+    overloaded: usize,
+}
+
+impl FixedLoads {
+    /// Adds `delta` to the residual of dense link `l`, keeping the
+    /// overload count in step.
+    fn shift(&mut self, l: usize, delta: Rational) {
+        let was = self.residual[l].is_negative();
+        self.residual[l] += delta;
+        let now = self.residual[l].is_negative();
+        self.overloaded = self.overloaded + usize::from(now) - usize::from(was);
+    }
 }
 
 impl EvalScratch {
@@ -213,6 +293,12 @@ impl EvalScratch {
     /// caller), used by cover bounds to dedup fabric links in place.
     pub(crate) fn link_buffers(&mut self) -> (&mut Vec<LinkId>, &mut Vec<LinkId>) {
         (&mut self.up, &mut self.down)
+    }
+
+    /// Whether the latest [`CompiledInstance::route_fixed`] left every
+    /// link within its capacity.
+    pub(crate) fn fixed_rates_fit(&self) -> bool {
+        self.fixed.overloaded == 0
     }
 }
 
@@ -290,6 +376,46 @@ mod tests {
             })
             .len();
         assert_eq!(padded_len, 5);
+    }
+
+    #[test]
+    fn route_fixed_matches_a_fresh_scratch() {
+        // Two half-rate flows and one full-rate flow between ToRs 0 and
+        // 2 of C_2: they fit iff the full-rate flow has a middle alone.
+        let clos = ClosNetwork::standard(2);
+        let flows = vec![
+            Flow::new(clos.source(0, 0), clos.destination(2, 0)),
+            Flow::new(clos.source(0, 1), clos.destination(2, 1)),
+            Flow::new(clos.source(1, 0), clos.destination(2, 0)),
+        ];
+        let rates = [r(1, 2), Rational::ONE, r(1, 2)];
+        let compiled = CompiledInstance::new(&clos, &flows);
+        let mut reused = EvalScratch::default();
+        // Jumps between unrelated prefixes, not just depth-first steps.
+        let walk: [&[usize]; 9] = [
+            &[0, 0, 0],
+            &[0, 1],
+            &[0, 1, 0],
+            &[1],
+            &[],
+            &[1, 1, 0],
+            &[0, 0],
+            &[1, 0, 1],
+            &[0, 1, 0],
+        ];
+        for assignment in walk {
+            compiled.route_fixed(&mut reused, &rates, assignment);
+            let mut fresh = EvalScratch::default();
+            compiled.route_fixed(&mut fresh, &rates, assignment);
+            let expect = assignment.len() < 2 || assignment[0] != assignment[1];
+            assert_eq!(reused.fixed_rates_fit(), expect, "{assignment:?}");
+            assert_eq!(fresh.fixed_rates_fit(), expect, "{assignment:?}");
+        }
+        // A rate change past a shared class prefix is reloaded too.
+        compiled.route_fixed(&mut reused, &[r(1, 2), r(1, 2), r(1, 2)], &[0, 0, 0]);
+        assert!(!reused.fixed_rates_fit());
+        compiled.route_fixed(&mut reused, &[r(1, 4), r(1, 4), r(1, 2)], &[0, 0, 0]);
+        assert!(reused.fixed_rates_fit());
     }
 
     #[test]

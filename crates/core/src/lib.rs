@@ -31,8 +31,9 @@
 //!   and Theorems 3.4, 4.2, 4.3, and 5.4, together with the paper's
 //!   predicted rates (Lemmas 4.4 and 4.6) as checkable data.
 //! * [`replication`] — feasibility of replicating macro-switch rates in
-//!   the Clos network (Theorem 4.2's notion), by exact backtracking search
-//!   and by a first-fit heuristic.
+//!   the Clos network (Theorem 4.2's notion), by exact search (a
+//!   feasibility objective on the [`search`] engine) and by a first-fit
+//!   heuristic.
 //! * [`routers`] — practical routing baselines evaluated in the paper's
 //!   extended version: ECMP, greedy congestion-aware routing on
 //!   macro-switch rates (à la Hedera), and local search.

@@ -43,8 +43,8 @@ use clos_rational::Rational;
 use clos_telemetry::counters;
 
 use crate::search::{
-    run_search, walk_completions, CanonicalSpace, LexMaxMin, SearchConfig, ThroughputMaxMin,
-    Visitor,
+    endpoint_labels, run_search, walk_completions, CanonicalSpace, LexMaxMin, SearchConfig,
+    ThroughputMaxMin, Visitor,
 };
 use crate::RoutedAllocation;
 
@@ -214,7 +214,7 @@ pub fn for_each_canonical_assignment<F: Fabric>(
             (self.0)(assignment);
         }
     }
-    let space = CanonicalSpace::new(fabric, flows);
+    let space = CanonicalSpace::new(fabric, &endpoint_labels(flows));
     let mut assignment = vec![0usize; flows.len()];
     let mut used = space.rows(flows.len());
     walk_completions(&space, &mut assignment, &mut used, 0, &mut Each(visit));

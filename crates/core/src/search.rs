@@ -5,13 +5,20 @@
 //! a fabric with `n` routing classes (the paper's `C_n`, where a class
 //! is a middle switch; a Benes network, where it is a top/bottom
 //! descent; an oversubscribed fat-tree, where it is a core switch),
-//! maximize a key derived from the max-min fair allocation. This
-//! module is the shared engine, generic over [`Fabric`]. It improves on
-//! naive enumeration three ways, without leaving exact territory:
+//! maximize a key derived from the max-min fair allocation. Replication
+//! feasibility at fixed rates (§4.1,
+//! [`find_feasible_routing`](crate::replication::find_feasible_routing))
+//! is the same problem with a `bool` key read off fixed-rate link loads
+//! ([`Objective::evaluate`]). This module is the shared engine, generic
+//! over [`Fabric`]. It improves on naive enumeration these ways, without
+//! leaving exact territory:
 //!
 //! 1. **Combined symmetry reduction, capacity-class aware.** Permuting
-//!    identical flows always preserves allocations; relabeling routing
-//!    classes preserves them only within a *capacity equivalence
+//!    identical flows always preserves the key (the objective says which
+//!    flows are identical, [`Objective::interchange_labels`]: by default
+//!    those with equal endpoints; for fixed-rate feasibility, those with
+//!    equal rates and equal class-dependent links); relabeling routing
+//!    classes preserves it only within a *capacity equivalence
 //!    class* — classes whose interchange signatures
 //!    ([`Fabric::class_signature`]) are identical (on a pristine Clos
 //!    fabric every middle switch is in one class; failures split
@@ -335,6 +342,12 @@ impl<'a, F: Fabric> Problem<'a, F> {
         self.capacity
     }
 
+    /// The compiled incidence tables: dense link indices per
+    /// `(flow, class)` path and the dense links' capacities.
+    pub(crate) fn compiled(&self) -> &CompiledInstance {
+        &self.compiled
+    }
+
     /// Water-fills the routing selecting `assignment[i]` as flow `i`'s
     /// class (a prefix of the flow collection is allowed, evaluating the
     /// prefix flows alone) into `scratch` — the compiled fast path: an
@@ -438,12 +451,13 @@ impl<'a, F: Fabric> Problem<'a, F> {
     }
 }
 
-/// A search objective: a (partially) ordered key computed from the
-/// max-min fair allocation of a routing, plus an optional admissible
-/// bound that enables branch-and-bound pruning.
+/// A search objective: a (partially) ordered key computed from an
+/// evaluation of a routing — by default its max-min fair allocation —
+/// plus an optional admissible bound that enables branch-and-bound
+/// pruning.
 ///
 /// The engine evaluates routings into an [`EvalScratch`]
-/// ([`Problem::evaluate`]) and consults the objective in two modes:
+/// ([`Self::evaluate`]) and consults the objective in two modes:
 /// [`Self::beats`] on the allocation-free hot path (once per leaf), and
 /// [`Self::key`] only when an improvement must be materialized. The two
 /// must agree: `beats(incumbent, scratch)` iff
@@ -453,6 +467,24 @@ pub trait Objective<F: Fabric = ClosNetwork>: Sync {
     /// the lexicographically first canonical assignment. (`Sync` because
     /// the seed key is shared with every worker by reference.)
     type Key: PartialOrd + Clone + Send + Sync;
+
+    /// Evaluates the routing selecting `assignment[i]` as flow `i`'s
+    /// class into `scratch`, for [`Self::key`] and [`Self::beats`] to
+    /// read — called once for the seed and once per examined leaf. The
+    /// default water-fills ([`Problem::evaluate`]).
+    fn evaluate(&self, problem: &Problem<'_, F>, scratch: &mut EvalScratch, assignment: &[usize]) {
+        problem.evaluate(scratch, assignment);
+    }
+
+    /// Interchange labels, one per flow: swapping the classes of two
+    /// flows with equal labels must never change the key, so the
+    /// canonical space enumerates each label group's classes in
+    /// non-decreasing order only. The default labels a flow by its
+    /// endpoints, which any key derived from the max-min fair
+    /// allocation respects.
+    fn interchange_labels(&self, problem: &Problem<'_, F>) -> Vec<usize> {
+        endpoint_labels(problem.flows())
+    }
 
     /// Materializes the key of the evaluation held in `scratch`. May
     /// allocate: the engine calls this only for the seed and on strict
@@ -503,6 +535,22 @@ pub trait Objective<F: Fabric = ClosNetwork>: Sync {
         self.prefix_bound(problem, prefix, scratch)
             .is_some_and(|bound| bound_cannot_beat(&bound, incumbent))
     }
+}
+
+/// Labels each item by the index of the first item with an equal key:
+/// equal keys, equal labels (the form [`Objective::interchange_labels`]
+/// returns).
+pub(crate) fn first_equal_labels<K: Ord>(keys: impl IntoIterator<Item = K>) -> Vec<usize> {
+    let mut first = std::collections::BTreeMap::new();
+    keys.into_iter()
+        .enumerate()
+        .map(|(i, key)| *first.entry(key).or_insert(i))
+        .collect()
+}
+
+/// Interchange labels grouping flows with equal endpoints.
+pub(crate) fn endpoint_labels(flows: &[Flow]) -> Vec<usize> {
+    first_equal_labels(flows.iter().map(|f| (f.src(), f.dst())))
 }
 
 /// Lex-max-min fairness (Definition 2.4): the key is the sorted rate
@@ -653,18 +701,21 @@ pub(crate) struct CanonicalSpace {
     /// Routing class -> rank among its equivalence class's members in
     /// ascending order.
     rank_in_class: Vec<u32>,
-    /// Previous position holding an identical flow, if any.
+    /// Previous position holding an identical flow (equal interchange
+    /// label), if any.
     prev_in_group: Vec<Option<usize>>,
 }
 
 impl CanonicalSpace {
-    pub(crate) fn new<F: Fabric>(fabric: &F, flows: &[Flow]) -> CanonicalSpace {
-        use std::collections::BTreeMap;
-        let mut last: BTreeMap<(clos_net::NodeId, clos_net::NodeId), usize> = BTreeMap::new();
-        let mut prev_in_group = vec![None; flows.len()];
-        for (i, f) in flows.iter().enumerate() {
-            prev_in_group[i] = last.insert((f.src(), f.dst()), i);
-        }
+    /// The space with identical flows grouped by equal `labels` (one
+    /// per flow; see [`Objective::interchange_labels`]).
+    pub(crate) fn new<F: Fabric>(fabric: &F, labels: &[usize]) -> CanonicalSpace {
+        let mut last = std::collections::BTreeMap::new();
+        let prev_in_group = labels
+            .iter()
+            .enumerate()
+            .map(|(i, &label)| last.insert(label, i))
+            .collect();
         let n = fabric.class_count();
         // Interchange signature of a routing class, as certified by the
         // fabric: equal signature == interchangeable under every flow
@@ -1018,7 +1069,9 @@ impl<F: Fabric, O: Objective<F>> Visitor for BlockVisitor<'_, '_, '_, F, O> {
             (self.outcome.examined - 1).is_multiple_of(k.max(1))
                 && self.outcome.profile.sampled.len() < MAX_SAMPLED_PER_BLOCK
         });
-        self.ctx.problem.evaluate(self.scratch, assignment);
+        self.ctx
+            .objective
+            .evaluate(&self.ctx.problem, self.scratch, assignment);
         let incumbent = self
             .outcome
             .best
@@ -1130,7 +1183,7 @@ pub fn run_search<F: Fabric + Sync, O: Objective<F>>(
     counters::SEARCH_RUNS.incr();
 
     let problem = Problem::new(fabric, flows);
-    let space = CanonicalSpace::new(fabric, flows);
+    let space = CanonicalSpace::new(fabric, &objective.interchange_labels(&problem));
     let (_, blocks) = prefix_blocks(&space, flows.len());
 
     // Seed incumbent: the lexicographically first canonical leaf — all
@@ -1140,7 +1193,7 @@ pub fn run_search<F: Fabric + Sync, O: Objective<F>>(
     counters::SEARCH_ASSIGNMENTS.incr();
     {
         let _seed_span = clos_telemetry::span("search.seed");
-        problem.evaluate(&mut seed_scratch, &seed);
+        objective.evaluate(&problem, &mut seed_scratch, &seed);
     }
     let seed_key = objective.key(&mut seed_scratch);
     counters::SEARCH_IMPROVEMENTS.incr();
@@ -1298,7 +1351,7 @@ mod tests {
 
     /// Enumerates all canonical leaves without pruning.
     fn all_leaves<F: Fabric>(fabric: &F, flows: &[Flow]) -> Vec<Vec<usize>> {
-        let space = CanonicalSpace::new(fabric, flows);
+        let space = CanonicalSpace::new(fabric, &endpoint_labels(flows));
         let mut assignment = vec![0usize; flows.len()];
         let mut used = space.rows(flows.len());
         let mut collect = Collect(Vec::new());
@@ -1338,7 +1391,7 @@ mod tests {
             Flow::new(clos.source(0, 1), clos.destination(3, 1)),
             Flow::new(clos.source(1, 0), clos.destination(4, 0)),
         ];
-        let space = CanonicalSpace::new(&clos, &flows);
+        let space = CanonicalSpace::new(&clos, &endpoint_labels(&flows));
         let (depth, blocks) = prefix_blocks(&space, flows.len());
         let mut via_blocks = Vec::new();
         for prefix in &blocks {

@@ -47,7 +47,7 @@ fn main() {
         Err(e) => println!("\nsplittable routing   : infeasible ({e})"),
     }
 
-    // Unsplittable: exact backtracking proves no routing exists.
+    // Unsplittable: the exact search proves no routing exists.
     let exact = find_feasible_routing(&t.instance.clos, &t.instance.flows, rates.rates());
     println!(
         "unsplittable routing : {}",
