@@ -20,6 +20,7 @@ use std::time::Instant;
 use clos_churn::{
     ChurnConfig, ChurnEngine, OnlinePolicy, Pattern, SizeDist, TraceConfig, TraceGenerator,
 };
+use clos_core::search::map_rows;
 use clos_net::ClosNetwork;
 use clos_rational::{Scalar, TotalF64};
 
@@ -69,87 +70,90 @@ fn percentile(sorted: &[u64], p: usize) -> u64 {
 }
 
 /// Runs the churn experiment on each `C_n` with `events` trace events.
+///
+/// The rows are independent and run on the `--threads` workers
+/// ([`map_rows`]); every exact column is the same for any thread count.
 #[must_use]
 pub fn run(ns: &[usize], events: usize) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &n in ns {
-        let clos = ClosNetwork::standard(n);
-        let cfg = TraceConfig {
-            arrival_rate_per_sec: 1_000_000,
-            lifetime: SizeDist::Exponential { mean_ns: 2_000_000 },
-            pattern: Pattern::Uniform,
-            events,
-            seed: 7 + n as u64,
-        };
-        // Engine A: oracle-verified at every epoch, flushed every 64
-        // events. Auto-flush is disabled (huge batch) so the manual
-        // flush cadence is the only epoch boundary and can be timed.
-        let mut a = ChurnEngine::<TotalF64>::new(
-            clos.clone(),
-            OnlinePolicy::greedy(),
-            ChurnConfig {
-                batch: events + 1,
-                verify: true,
-            },
-        );
-        // Engine B: same trace, a much coarser cadence, no verifier.
-        let mut b = ChurnEngine::<TotalF64>::new(
-            clos.clone(),
-            OnlinePolicy::greedy(),
-            ChurnConfig {
-                batch: events + 1,
-                verify: false,
-            },
-        );
-        let mut epoch_ns = Vec::new();
-        for (i, ev) in TraceGenerator::new(&clos, &cfg).enumerate() {
-            a.apply(ev.event);
-            b.apply(ev.event);
-            if (i + 1) % 64 == 0 {
-                let start = Instant::now();
-                a.flush();
-                epoch_ns.push(start.elapsed().as_nanos() as u64);
-            }
-            if (i + 1) % 512 == 0 {
-                b.flush();
-            }
-        }
-        a.flush();
-        b.flush();
+    map_rows(ns, |&n| run_row(n, events))
+}
 
-        let rates: Vec<f64> = a.live_flows().map(|(_, r)| r.to_f64()).collect();
-        let starved = rates
-            .iter()
-            .filter(|r| !(r.is_finite() && **r > 0.0))
-            .count();
-        let rate_spread = match (
-            rates.iter().copied().reduce(f64::max),
-            rates.iter().copied().reduce(f64::min),
-        ) {
-            (Some(max), Some(min)) if min > 0.0 => max / min,
-            _ => 1.0,
-        };
-        let cross_batch_equal = a.checksum() == b.checksum() && a.levels() == b.levels();
-        epoch_ns.sort_unstable();
-        let stats = a.stats();
-        rows.push(Row {
-            n,
-            events,
-            arrivals: stats.arrivals,
-            departures: stats.departures,
-            epochs: stats.epochs,
-            peak_live: stats.peak_live,
-            final_live: a.live(),
-            checksum: format!("{:016x}", a.checksum()),
-            starved,
-            rate_spread,
-            cross_batch_equal,
-            verified: stats.events == events as u64,
-            epoch_p50_ns: percentile(&epoch_ns, 50),
-            epoch_p99_ns: percentile(&epoch_ns, 99),
-        });
+fn run_row(n: usize, events: usize) -> Row {
+    let clos = ClosNetwork::standard(n);
+    let cfg = TraceConfig {
+        arrival_rate_per_sec: 1_000_000,
+        lifetime: SizeDist::Exponential { mean_ns: 2_000_000 },
+        pattern: Pattern::Uniform,
+        events,
+        seed: 7 + n as u64,
+    };
+    // Engine A: oracle-verified at every epoch, flushed every 64
+    // events. Auto-flush is disabled (huge batch) so the manual
+    // flush cadence is the only epoch boundary and can be timed.
+    let mut a = ChurnEngine::<TotalF64>::new(
+        clos.clone(),
+        OnlinePolicy::greedy(),
+        ChurnConfig {
+            batch: events + 1,
+            verify: true,
+        },
+    );
+    // Engine B: same trace, a much coarser cadence, no verifier.
+    let mut b = ChurnEngine::<TotalF64>::new(
+        clos.clone(),
+        OnlinePolicy::greedy(),
+        ChurnConfig {
+            batch: events + 1,
+            verify: false,
+        },
+    );
+    let mut epoch_ns = Vec::new();
+    for (i, ev) in TraceGenerator::new(&clos, &cfg).enumerate() {
+        a.apply(ev.event);
+        b.apply(ev.event);
+        if (i + 1) % 64 == 0 {
+            let start = Instant::now();
+            a.flush();
+            epoch_ns.push(start.elapsed().as_nanos() as u64);
+        }
+        if (i + 1) % 512 == 0 {
+            b.flush();
+        }
     }
-    rows
+    a.flush();
+    b.flush();
+
+    let rates: Vec<f64> = a.live_flows().map(|(_, r)| r.to_f64()).collect();
+    let starved = rates
+        .iter()
+        .filter(|r| !(r.is_finite() && **r > 0.0))
+        .count();
+    let rate_spread = match (
+        rates.iter().copied().reduce(f64::max),
+        rates.iter().copied().reduce(f64::min),
+    ) {
+        (Some(max), Some(min)) if min > 0.0 => max / min,
+        _ => 1.0,
+    };
+    let cross_batch_equal = a.checksum() == b.checksum() && a.levels() == b.levels();
+    epoch_ns.sort_unstable();
+    let stats = a.stats();
+    Row {
+        n,
+        events,
+        arrivals: stats.arrivals,
+        departures: stats.departures,
+        epochs: stats.epochs,
+        peak_live: stats.peak_live,
+        final_live: a.live(),
+        checksum: format!("{:016x}", a.checksum()),
+        starved,
+        rate_spread,
+        cross_batch_equal,
+        verified: stats.events == events as u64,
+        epoch_p50_ns: percentile(&epoch_ns, 50),
+        epoch_p99_ns: percentile(&epoch_ns, 99),
+    }
 }
 
 /// Renders the E13 table.

@@ -9,6 +9,7 @@
 //! Step 2.
 
 use clos_core::constructions::theorem_4_3;
+use clos_core::search::map_rows;
 use clos_fairness::{max_min_fair, verify_bottleneck_property};
 use clos_net::{FlowId, Routing};
 use clos_rational::Rational;
@@ -43,87 +44,89 @@ const DOMINANCE_FLOW_LIMIT: usize = 400;
 
 /// Runs the sweep; `samples` random alternative routings are checked per
 /// `n` in addition to all single-flow deviations, for instances up to
-/// 400 flows (larger instances report only the certificate checks).
+/// 400 flows (larger instances report only the certificate checks). The
+/// rows are independent and run on the `--threads` workers
+/// ([`map_rows`]).
 #[must_use]
 pub fn run(ns: &[usize], samples: usize) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &n in ns {
-        let t = theorem_4_3(n);
-        let clos = &t.instance.clos;
-        let flows = &t.instance.flows;
-        let macro_alloc = t.instance.macro_allocation();
-        let cert = t.certificate();
-        let cert_sorted = cert.allocation.sorted();
+    map_rows(ns, |&n| run_row(n, samples))
+}
 
-        let certificate_max_min = verify_bottleneck_property(
-            clos.network(),
-            flows,
-            &cert.routing,
-            &cert.allocation,
-            Rational::ZERO,
-        )
-        .is_ok();
+fn run_row(n: usize, samples: usize) -> Row {
+    let t = theorem_4_3(n);
+    let clos = &t.instance.clos;
+    let flows = &t.instance.flows;
+    let macro_alloc = t.instance.macro_allocation();
+    let cert = t.certificate();
+    let cert_sorted = cert.allocation.sorted();
 
-        // Recover the certificate's middle assignment for perturbation.
-        let assignment: Vec<usize> = (0..flows.len())
-            .map(|i| {
-                clos.middle_of_path(cert.routing.path(FlowId::from(i)))
-                    .expect("certificate paths cross the fabric")
-            })
+    let certificate_max_min = verify_bottleneck_property(
+        clos.network(),
+        flows,
+        &cert.routing,
+        &cert.allocation,
+        Rational::ZERO,
+    )
+    .is_ok();
+
+    // Recover the certificate's middle assignment for perturbation.
+    let assignment: Vec<usize> = (0..flows.len())
+        .map(|i| {
+            clos.middle_of_path(cert.routing.path(FlowId::from(i)))
+                .expect("certificate paths cross the fabric")
+        })
+        .collect();
+
+    let evaluate = |assignment: &[usize]| -> clos_fairness::SortedRates<Rational> {
+        let routing: Routing = flows
+            .iter()
+            .zip(assignment)
+            .map(|(&f, &m)| clos.path_via(f, m))
             .collect();
+        max_min_fair::<Rational>(clos.network(), flows, &routing)
+            .expect("Clos links are finite")
+            .sorted()
+    };
 
-        let evaluate = |assignment: &[usize]| -> clos_fairness::SortedRates<Rational> {
-            let routing: Routing = flows
-                .iter()
-                .zip(assignment)
-                .map(|(&f, &m)| clos.path_via(f, m))
-                .collect();
-            max_min_fair::<Rational>(clos.network(), flows, &routing)
-                .expect("Clos links are finite")
-                .sorted()
-        };
-
-        let mut alternatives_checked = 0;
-        let mut dominates = true;
-        if flows.len() <= DOMINANCE_FLOW_LIMIT {
-            // All single-flow deviations.
-            for i in 0..flows.len() {
-                for m in 0..n {
-                    if m == assignment[i] {
-                        continue;
-                    }
-                    let mut alt = assignment.clone();
-                    alt[i] = m;
-                    alternatives_checked += 1;
-                    if evaluate(&alt) > cert_sorted {
-                        dominates = false;
-                    }
+    let mut alternatives_checked = 0;
+    let mut dominates = true;
+    if flows.len() <= DOMINANCE_FLOW_LIMIT {
+        // All single-flow deviations.
+        for i in 0..flows.len() {
+            for m in 0..n {
+                if m == assignment[i] {
+                    continue;
                 }
-            }
-            // Random assignments.
-            let mut rng = StdRng::seed_from_u64(n as u64);
-            for _ in 0..samples {
-                let alt: Vec<usize> = (0..flows.len()).map(|_| rng.gen_range(0..n)).collect();
+                let mut alt = assignment.clone();
+                alt[i] = m;
                 alternatives_checked += 1;
                 if evaluate(&alt) > cert_sorted {
                     dominates = false;
                 }
             }
         }
-
-        let macro_rate = macro_alloc.rate(t.type3_flow());
-        let lex_rate = cert.allocation.rate(t.type3_flow());
-        rows.push(Row {
-            n,
-            macro_rate,
-            lex_rate,
-            starvation: lex_rate / macro_rate,
-            certificate_max_min,
-            alternatives_checked,
-            dominates_alternatives: dominates,
-        });
+        // Random assignments.
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        for _ in 0..samples {
+            let alt: Vec<usize> = (0..flows.len()).map(|_| rng.gen_range(0..n)).collect();
+            alternatives_checked += 1;
+            if evaluate(&alt) > cert_sorted {
+                dominates = false;
+            }
+        }
     }
-    rows
+
+    let macro_rate = macro_alloc.rate(t.type3_flow());
+    let lex_rate = cert.allocation.rate(t.type3_flow());
+    Row {
+        n,
+        macro_rate,
+        lex_rate,
+        starvation: lex_rate / macro_rate,
+        certificate_max_min,
+        alternatives_checked,
+        dominates_alternatives: dominates,
+    }
 }
 
 /// Renders the E4 table.

@@ -1,6 +1,7 @@
 //! E7 — §7 (R1): flow completion times under max-min fair congestion
 //! control versus admission scheduling, across offered loads.
 
+use clos_core::search::map_rows;
 use clos_net::ClosNetwork;
 use clos_sim::{simulate_fct, FctConfig, FctStats, SizeDist, Transport};
 
@@ -19,30 +20,34 @@ pub struct Row {
 
 /// Runs the FCT comparison on `C_n` for each offered load, with
 /// fixed-size flows (the regime where scheduling's benefit is cleanest)
-/// and the churn engine's greedy online path selection.
+/// and the churn engine's greedy online path selection. The
+/// (load, transport) cells are independent and run on the `--threads`
+/// workers ([`map_rows`]), in load-major order.
 #[must_use]
 pub fn run(n: usize, loads: &[f64], flow_count: usize, seed: u64) -> Vec<Row> {
+    assert!(
+        loads.iter().all(|&load| load > 0.0),
+        "load must be positive"
+    );
     let clos = ClosNetwork::standard(n);
     let hosts = (clos.tor_count() * clos.hosts_per_tor()) as f64;
-    let mut rows = Vec::new();
-    for &load in loads {
-        assert!(load > 0.0, "load must be positive");
+    let cells: Vec<(f64, Transport)> = loads
+        .iter()
+        .flat_map(|&load| [Transport::FairSharing, Transport::Scheduling].map(|t| (load, t)))
+        .collect();
+    map_rows(&cells, |&(load, transport)| {
         let config = FctConfig {
             arrival_rate: load * hosts,
             size_dist: SizeDist::Fixed(1.0),
             flow_count,
             seed,
         };
-        for transport in [Transport::FairSharing, Transport::Scheduling] {
-            let stats = simulate_fct(&clos, &config, transport);
-            rows.push(Row {
-                load,
-                transport,
-                stats,
-            });
+        Row {
+            load,
+            transport,
+            stats: simulate_fct(&clos, &config, transport),
         }
-    }
-    rows
+    })
 }
 
 /// Renders the E7 table.

@@ -114,6 +114,7 @@ pub fn rate_ratio_study(
     router: &mut dyn Router,
 ) -> RateStudy {
     assert!(!flows.is_empty(), "rate study needs at least one flow");
+    let _span = clos_telemetry::span("rate_study");
     let demands = if router.uses_demands() {
         clos_core::routers::macro_demands(clos, ms, flows)
     } else {

@@ -23,6 +23,12 @@
 //! (where an enclosing `search` span is on the stack) or on a scoped
 //! worker (where the stack is empty).
 //!
+//! [`SpanContext`] is the other way to the same end: work that belongs
+//! *under* the caller's open spans (one sweep row of an experiment)
+//! captures the caller's open span path and enters it on the worker, so
+//! a span opened there records under the caller's path — `e13;churn.epoch`
+//! whether the row ran inline or on a worker.
+//!
 //! # Gating and collection
 //!
 //! Tracing is **off by default** and controlled by [`set_tracing`],
@@ -406,6 +412,111 @@ impl Drop for SpanGuard {
     }
 }
 
+/// The open span path of one thread, captured to be entered on another.
+///
+/// [`SpanContext::capture`] on the spawning thread records the path a
+/// span opened there would nest under; [`SpanContext::enter`] on a worker
+/// pushes that path onto the worker's stack as frames no guard closes,
+/// so the worker's spans record under it. The captured frames themselves
+/// are never recorded (the caller's own guards record them once), which
+/// keeps the tree — and the `stable` exports — identical whether the work
+/// ran inline or on workers. Captured with tracing off, the context is
+/// empty and entering it does nothing.
+///
+/// # Examples
+///
+/// ```
+/// use clos_telemetry::span::{reset_tracing, set_tracing, span, take_trace, SpanContext};
+///
+/// reset_tracing();
+/// set_tracing(true);
+/// {
+///     let _outer = span("sweep");
+///     let context = SpanContext::capture();
+///     std::thread::scope(|scope| {
+///         scope.spawn(|| {
+///             let _entered = context.enter();
+///             let _row = span("row");
+///         });
+///     });
+/// }
+/// set_tracing(false);
+/// assert_eq!(take_trace().to_folded(true), "sweep 1\nsweep;row 1\n");
+/// # reset_tracing();
+/// ```
+#[derive(Debug, Default)]
+pub struct SpanContext {
+    /// Span names from the innermost root frame (or the stack bottom) to
+    /// the top of the capturing thread's stack.
+    path: Vec<&'static str>,
+}
+
+impl SpanContext {
+    /// Captures the calling thread's open span path (empty when tracing
+    /// is off).
+    #[must_use]
+    pub fn capture() -> SpanContext {
+        if !tracing_enabled() {
+            return SpanContext::default();
+        }
+        THREAD_TRACE.with(|trace| {
+            let stack = &trace.borrow().stack;
+            let base = stack.iter().rposition(|frame| frame.root).unwrap_or(0);
+            SpanContext {
+                path: stack[base..].iter().map(|frame| frame.name).collect(),
+            }
+        })
+    }
+
+    /// Enters the captured path on the calling thread until the returned
+    /// guard drops. Dropping the guard removes the path and, if it leaves
+    /// the stack empty, folds the thread's tree into the global trace —
+    /// so a scoped worker's spans reach [`take_trace`] before the scope
+    /// returns.
+    pub fn enter(&self) -> ContextGuard {
+        if self.path.is_empty() {
+            return ContextGuard { depth: None };
+        }
+        THREAD_TRACE.with(|trace| {
+            let stack = &mut trace.borrow_mut().stack;
+            let depth = stack.len();
+            // The first frame is a root so the path is the same on a
+            // thread that already has spans open.
+            stack.extend(
+                self.path
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &name)| Frame { name, root: i == 0 }),
+            );
+            ContextGuard { depth: Some(depth) }
+        })
+    }
+}
+
+/// The guard returned by [`SpanContext::enter`]; removes the entered path
+/// on drop. It must outlive every span opened under it.
+#[must_use = "an entered context lasts for the scope of its guard"]
+#[derive(Debug)]
+pub struct ContextGuard {
+    /// Stack depth below the entered frames; `None` for an empty context.
+    depth: Option<usize>,
+}
+
+impl Drop for ContextGuard {
+    fn drop(&mut self) {
+        let Some(depth) = self.depth else {
+            return;
+        };
+        THREAD_TRACE.with(|trace| {
+            let trace = &mut *trace.borrow_mut();
+            trace.stack.truncate(depth);
+            if trace.stack.is_empty() {
+                trace.flush();
+            }
+        });
+    }
+}
+
 /// Returns the merged trace: every finished traced thread's tree plus
 /// the calling thread's live tree. Does not clear anything; call
 /// [`reset_tracing`] to start a fresh trace.
@@ -512,6 +623,132 @@ mod tests {
         let trace = take_trace();
         assert_eq!(trace.count_at(&["block"]), Some(2));
         assert_eq!(trace.count_at(&["block", "leaf"]), Some(2));
+        reset_tracing();
+    }
+
+    /// Runs two rows under `outer`: inline on this thread, or on two
+    /// scoped workers that enter the captured context. Returns the trace
+    /// as `take_trace` sees it right after the scope returns.
+    fn rows_under_outer(on_workers: bool) -> SpanTree {
+        let row = || {
+            let _row = span("row");
+            let _leaf = span("leaf");
+        };
+        reset_tracing();
+        set_tracing(true);
+        let trace = {
+            let _outer = span("outer");
+            if on_workers {
+                let context = SpanContext::capture();
+                std::thread::scope(|scope| {
+                    for _ in 0..2 {
+                        scope.spawn(|| {
+                            let _entered = context.enter();
+                            row();
+                        });
+                    }
+                });
+            } else {
+                row();
+                row();
+            }
+            // `outer` is still open: only flushed worker trees can show.
+            take_trace()
+        };
+        set_tracing(false);
+        reset_tracing();
+        trace
+    }
+
+    #[test]
+    fn worker_spans_record_under_the_inherited_path() {
+        let _guard = serial();
+        let trace = rows_under_outer(true);
+        assert_eq!(trace.count_at(&["outer", "row"]), Some(2));
+        assert_eq!(trace.count_at(&["outer", "row", "leaf"]), Some(2));
+        assert_eq!(trace.count_at(&["row"]), None, "worker spans at the root");
+        // The inherited frame is the caller's; only its own guard counts it.
+        assert_eq!(trace.count_at(&["outer"]), Some(0));
+    }
+
+    #[test]
+    fn inline_and_worker_rows_export_identically() {
+        let _guard = serial();
+        let inline = rows_under_outer(false);
+        let workers = rows_under_outer(true);
+        assert_eq!(inline.to_folded(true), workers.to_folded(true));
+        assert_eq!(inline.to_chrome_trace(true), workers.to_chrome_trace(true));
+        assert_eq!(workers.to_folded(true), "outer;row 2\nouter;row;leaf 2\n");
+    }
+
+    #[test]
+    fn leaving_a_context_flushes_the_worker_tree() {
+        let _guard = serial();
+        reset_tracing();
+        set_tracing(true);
+        let barrier = std::sync::Barrier::new(2);
+        let seen = {
+            let _outer = span("outer");
+            let context = SpanContext::capture();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    {
+                        let _entered = context.enter();
+                        let _row = span("row");
+                    }
+                    // Still alive: only the guard's flush can publish.
+                    barrier.wait();
+                    barrier.wait();
+                });
+                barrier.wait();
+                let seen = take_trace().count_at(&["outer", "row"]);
+                barrier.wait();
+                seen
+            })
+        };
+        set_tracing(false);
+        assert_eq!(seen, Some(1));
+        reset_tracing();
+    }
+
+    #[test]
+    fn context_inside_a_root_span_starts_at_the_root() {
+        let _guard = serial();
+        reset_tracing();
+        set_tracing(true);
+        {
+            let _outer = span("outer");
+            let _block = span_root("block");
+            let context = SpanContext::capture();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _open = span("open");
+                    let _entered = context.enter();
+                    let _leaf = span("leaf");
+                });
+            });
+        }
+        set_tracing(false);
+        let trace = take_trace();
+        assert_eq!(trace.count_at(&["block", "leaf"]), Some(1));
+        assert_eq!(trace.count_at(&["open"]), Some(1));
+        assert_eq!(trace.count_at(&["open", "block", "leaf"]), None);
+        reset_tracing();
+    }
+
+    #[test]
+    fn context_captured_with_tracing_off_is_inert() {
+        let _guard = serial();
+        reset_tracing();
+        set_tracing(false);
+        let context = SpanContext::capture();
+        set_tracing(true);
+        {
+            let _entered = context.enter();
+            let _row = span("row");
+        }
+        set_tracing(false);
+        assert_eq!(take_trace().to_folded(true), "row 1\n");
         reset_tracing();
     }
 
