@@ -65,6 +65,7 @@ pub fn macro_reference_rates(
     ms: &MacroSwitch,
     flows: &[Flow],
 ) -> Vec<Rational> {
+    let _span = clos_telemetry::span("relative.macro_reference");
     let ms_flows = ms.translate_flows(clos, flows);
     macro_max_min(ms, &ms_flows).rates().to_vec()
 }
@@ -208,6 +209,7 @@ pub fn relative_local_search(
     max_rounds: usize,
 ) -> RelativeOutcome {
     assert!(!flows.is_empty(), "need at least one flow");
+    let _span = clos_telemetry::span("relative.local_search");
     let n = clos.middle_count();
     let reference = macro_reference_rates(clos, ms, flows);
 

@@ -43,8 +43,11 @@
 //!    cannot strictly beat the incumbent are skipped (counted in telemetry
 //!    as `search.pruned`).
 //! 3. **Prefix-splitting parallelism.** The canonical tree is split into
-//!    blocks at a fixed prefix depth and the blocks are distributed over
-//!    `std::thread::scope` workers.
+//!    blocks at a fixed prefix depth, and the blocks run on the
+//!    [`search_threads`] workers: the calling thread is one of them, and
+//!    each scoped worker it spawns enters the caller's open span path, so
+//!    a block's spans record under the search's `search` span wherever
+//!    the block ran.
 //! 4. **Compiled evaluation.** The instance is compiled once
 //!    ([`crate::compiled`]) into dense flow→link incidence tables, and
 //!    each worker evaluates assignments into its own reusable
@@ -86,8 +89,8 @@
 //! the block count alone. Every block of a wave runs to its own end, and
 //! the search ends after the first wave holding a proven block, so the
 //! set of blocks that ran — and each block's statistics — is the same
-//! for any thread count (the workers persist across waves and meet at a
-//! barrier between them; the single-thread path follows the same rule).
+//! for any thread count (one loop serves every worker count: the workers
+//! persist across waves and meet at a barrier between them).
 //! A search without a root bound ([`SearchConfig::no_prune`], or an
 //! objective with no bound) cannot prove its optimum, so it runs all its
 //! blocks as one wave, and no worker waits between blocks.
@@ -99,10 +102,10 @@
 //!
 //! # Sweep rows
 //!
-//! [`map_rows`] lends the same workers to experiment sweeps whose rows
-//! are independent and do not search: rows are claimed by index and
-//! merged back in row order, so the sweep's output is the same for any
-//! thread count.
+//! [`map_rows`] runs experiment sweeps whose rows are independent and do
+//! not search on the same worker loop, as one wave: rows are claimed by
+//! index and merged back in row order, so the sweep's output is the same
+//! for any thread count.
 //!
 //! [`SearchStats`]: crate::objectives::SearchStats
 
@@ -1131,7 +1134,7 @@ fn process_block<F: Fabric, O: Objective<F>>(
     prefix: &[usize],
     scratch: &mut EvalScratch,
 ) -> BlockOutcome<O::Key> {
-    let _span = clos_telemetry::span_root("search.block");
+    let _span = clos_telemetry::span("search.block");
     let flow_count = ctx.problem.flows().len();
     let depth = prefix.len();
     let mut assignment = vec![0usize; flow_count];
@@ -1178,8 +1181,10 @@ fn process_block<F: Fabric, O: Objective<F>>(
 ///
 /// # Panics
 ///
-/// Panics if a flow endpoint is invalid for `fabric`, or if evaluation
-/// itself panicked on a worker thread.
+/// Panics if a flow endpoint is invalid for `fabric`. A panic inside a
+/// block (in the objective's evaluation, say) stops the search and is
+/// re-raised on the calling thread with the lowest-index panicking
+/// block's own payload, for any thread count.
 pub fn run_search<F: Fabric + Sync, O: Objective<F>>(
     fabric: &F,
     flows: &[Flow],
@@ -1230,90 +1235,24 @@ pub fn run_search<F: Fabric + Sync, O: Objective<F>>(
         ceiling,
     };
 
-    let threads = config.threads.unwrap_or_else(search_threads).max(1);
-    let mut outcomes: Vec<BlockOutcome<O::Key>> = Vec::with_capacity(blocks.len());
-    if threads == 1 || blocks.len() <= 1 {
-        // Sequential path: the (already warm) seed scratch serves every
-        // block, under the same wave rule as the workers below.
-        for wave in &waves {
-            for index in wave.clone() {
-                outcomes.push(process_block(
-                    &ctx,
-                    index,
-                    &blocks[index],
-                    &mut seed_scratch,
-                ));
-            }
-            if outcomes[wave.clone()].iter().any(BlockOutcome::proven) {
-                break;
-            }
-        }
-    } else {
-        let workers = threads.min(blocks.len());
-        let cursors: Vec<AtomicUsize> = waves.iter().map(|w| AtomicUsize::new(w.start)).collect();
-        // Per wave: a block of it proved the optimum (or panicked), so no
-        // later wave starts. Set only inside its wave and read only past
-        // the wave's barrier, so every worker reads the same value.
-        let stops: Vec<AtomicBool> = waves.iter().map(|_| AtomicBool::new(false)).collect();
-        let barrier = Barrier::new(workers);
-        outcomes = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        // One scratch per worker, kept across waves:
-                        // block outcomes stay a pure function of the
-                        // block, so results and stats are byte-identical
-                        // for any thread count.
-                        let mut scratch = EvalScratch::default();
-                        let mut mine = Vec::new();
-                        let mut failure = None;
-                        for ((wave, cursor), stop) in waves.iter().zip(&cursors).zip(&stops) {
-                            while failure.is_none() {
-                                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                                if index >= wave.end {
-                                    break;
-                                }
-                                // A panicking block must still reach the
-                                // barrier, or the other workers would wait
-                                // on it forever; it is re-raised below.
-                                match catch_unwind(AssertUnwindSafe(|| {
-                                    process_block(&ctx, index, &blocks[index], &mut scratch)
-                                })) {
-                                    Ok(outcome) => {
-                                        if outcome.proven() {
-                                            stop.store(true, Ordering::Release);
-                                        }
-                                        mine.push(outcome);
-                                    }
-                                    Err(payload) => {
-                                        stop.store(true, Ordering::Release);
-                                        failure = Some(payload);
-                                    }
-                                }
-                            }
-                            barrier.wait();
-                            if stop.load(Ordering::Acquire) {
-                                break;
-                            }
-                        }
-                        if let Some(payload) = failure {
-                            resume_unwind(payload);
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("search worker panicked"))
-                .collect()
-        });
-    }
+    let threads = config.threads.unwrap_or_else(search_threads);
+    // The caller works its blocks in the (already warm) seed scratch; a
+    // spawned worker keeps its own across waves. Block outcomes stay a
+    // pure function of the block, so results and stats are
+    // byte-identical for any thread count.
+    let outcomes = run_waves(
+        threads,
+        &waves,
+        &mut seed_scratch,
+        EvalScratch::default,
+        |index, scratch| process_block(&ctx, index, &blocks[index], scratch),
+        BlockOutcome::proven,
+    );
 
-    // Deterministic merge: block order, strict improvement only, so the
-    // earliest block (hence the lexicographically earliest leaf) wins
-    // ties.
-    outcomes.sort_by_key(|o| o.index);
+    // Deterministic merge: the outcomes come back in block order, and
+    // only a strict improvement replaces the incumbent, so the earliest
+    // block (hence the lexicographically earliest leaf) wins ties.
+    //
     // The seed's up-front examination/improvement is histogrammed at
     // depth 0, keeping `sum(depth_improvements) == improvements`.
     let mut seed_profile = SearchProfile::for_depth(flows.len());
@@ -1348,14 +1287,12 @@ pub fn run_search<F: Fabric + Sync, O: Objective<F>>(
 /// Maps `row` over independent sweep rows on the [`search_threads`]
 /// workers and returns the results in input order.
 ///
-/// Workers claim rows by index and each result is merged back into its
-/// row's place, so the output is the same as
-/// `items.iter().map(row).collect()` for any thread count whenever each
-/// row is a pure function of its input. The calling thread is one of
-/// the workers; with one worker (or one row) every row runs inline and
-/// no thread is spawned. Spawned workers enter the caller's open span
-/// path ([`SpanContext`](clos_telemetry::SpanContext)), so a row's spans
-/// record under the same path wherever it ran.
+/// The rows run as one wave of the worker loop that runs
+/// [`run_search`]'s blocks: workers claim rows by index, each result is
+/// merged back into its row's place, and a row's spans record under the
+/// caller's open span path wherever it ran. The output is therefore the
+/// same as `items.iter().map(row).collect()` for any thread count
+/// whenever each row is a pure function of its input.
 ///
 /// Rows that call [`run_search`] gain nothing here: the search already
 /// runs on the same workers.
@@ -1376,23 +1313,80 @@ fn map_rows_on<T: Sync, R: Send>(
     items: &[T],
     row: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
-    let workers = threads.min(items.len());
-    let cursor = AtomicUsize::new(0);
+    run_waves(
+        threads,
+        std::slice::from_ref(&(0..items.len())),
+        &mut (),
+        || (),
+        |index, ()| row(&items[index]),
+        |_| false,
+    )
+}
+
+/// The one worker loop behind [`run_search`]'s block waves and
+/// [`map_rows`]' sweep rows: runs `job` on every index of the
+/// consecutive `waves`, one wave after the other, and returns the results
+/// in index order.
+///
+/// The calling thread is one of `threads.min(jobs)` workers (at least
+/// one; with one, no thread is spawned) and hands `state` to its jobs;
+/// each spawned worker hands its own `spawned_state()` to its jobs and
+/// enters the caller's open span path
+/// ([`SpanContext`](clos_telemetry::SpanContext)), so a job's spans record
+/// under the same path wherever it ran. Workers claim indices from a
+/// per-wave cursor and meet at a barrier between waves. Every job of a
+/// wave runs to its own end, and no later wave starts once a job's result
+/// `stops` the run, so which jobs ran depends on the waves alone, never on
+/// the thread count.
+///
+/// # Panics
+///
+/// A panicking job is caught: no job starts after it, and no later wave.
+/// Once every worker has stopped, the panic of the lowest-index job that
+/// panicked is re-raised with its own payload.
+fn run_waves<S, R: Send>(
+    threads: usize,
+    waves: &[Range<usize>],
+    state: &mut S,
+    spawned_state: impl Fn() -> S + Sync,
+    job: impl Fn(usize, &mut S) -> R + Sync,
+    stops: impl Fn(&R) -> bool + Sync,
+) -> Vec<R> {
+    let jobs = waves.last().map_or(0, |wave| wave.end);
+    let workers = threads.min(jobs).max(1);
+    let cursors: Vec<AtomicUsize> = waves.iter().map(|w| AtomicUsize::new(w.start)).collect();
+    // Per wave: a job of it stopped the run (or panicked). Set only inside
+    // its wave and read only past the wave's barrier, so every worker
+    // reads the same value.
+    let stopped: Vec<AtomicBool> = waves.iter().map(|_| AtomicBool::new(false)).collect();
+    // A job panicked: no worker claims another job.
     let failed = AtomicBool::new(false);
+    let barrier = Barrier::new(workers);
     let context = clos_telemetry::SpanContext::capture();
-    let work = || {
+    let work = |state: &mut S| {
         let mut done = Vec::new();
-        while !failed.load(Ordering::Acquire) {
-            let index = cursor.fetch_add(1, Ordering::AcqRel);
-            let Some(item) = items.get(index) else {
-                break;
-            };
-            match catch_unwind(AssertUnwindSafe(|| row(item))) {
-                Ok(result) => done.push((index, Ok(result))),
-                Err(payload) => {
-                    failed.store(true, Ordering::Release);
-                    done.push((index, Err(payload)));
+        for (w, wave) in waves.iter().enumerate() {
+            if w > 0 {
+                barrier.wait();
+                if stopped[w - 1].load(Ordering::Acquire) {
+                    break;
                 }
+            }
+            while !failed.load(Ordering::Acquire) {
+                let index = cursors[w].fetch_add(1, Ordering::AcqRel);
+                if index >= wave.end {
+                    break;
+                }
+                // A panicking job must still reach the barrier, or the
+                // other workers would wait on it forever.
+                let result = catch_unwind(AssertUnwindSafe(|| job(index, state)));
+                if result.as_ref().map_or(true, &stops) {
+                    stopped[w].store(true, Ordering::Release);
+                }
+                if result.is_err() {
+                    failed.store(true, Ordering::Release);
+                }
+                done.push((index, result));
             }
         }
         done
@@ -1402,13 +1396,13 @@ fn map_rows_on<T: Sync, R: Send>(
             .map(|_| {
                 scope.spawn(|| {
                     let _entered = context.enter();
-                    work()
+                    work(&mut spawned_state())
                 })
             })
             .collect();
-        let mut done = work();
+        let mut done = work(state);
         for handle in spawned {
-            // Rows catch their own panics, so a worker cannot fail here.
+            // Jobs catch their own panics, so a worker cannot fail here.
             done.extend(
                 handle
                     .join()
@@ -1830,6 +1824,88 @@ mod tests {
                 got.as_deref(),
                 Some("row 0 failed its check"),
                 "threads={threads}"
+            );
+        }
+    }
+
+    /// Panics on chosen leaves and remembers the highest leaf position
+    /// it evaluated; its key is always 0 under a root bound of 1, so no block
+    /// proves the optimum and the blocks run in their waves.
+    struct PanicsOn {
+        leaves: Vec<Vec<usize>>,
+        fails: Vec<usize>,
+        latest: AtomicUsize,
+    }
+
+    impl Objective for PanicsOn {
+        type Key = u8;
+
+        fn evaluate(&self, _: &Problem<'_>, _: &mut EvalScratch, assignment: &[usize]) {
+            let at = self.leaves.iter().position(|l| l == assignment).unwrap();
+            self.latest.fetch_max(at, Ordering::AcqRel);
+            assert!(!self.fails.contains(&at), "leaf {at} failed its check");
+        }
+
+        fn key(&self, _: &mut EvalScratch) -> u8 {
+            0
+        }
+
+        fn beats(&self, _: &u8, _: &mut EvalScratch) -> bool {
+            false
+        }
+
+        fn prefix_bound(&self, _: &Problem<'_>, _: &[usize], _: &mut EvalScratch) -> Option<u8> {
+            None
+        }
+
+        fn root_bound(&self, _: &Problem<'_>, _: &mut EvalScratch) -> Option<u8> {
+            Some(1)
+        }
+    }
+
+    #[test]
+    fn run_search_re_raises_the_first_panicking_block() {
+        let clos = ClosNetwork::standard(2);
+        let flows = flows_from_coords(
+            &clos,
+            &[
+                (0, 0, 1, 1),
+                (1, 0, 0, 1),
+                (2, 0, 3, 1),
+                (3, 0, 2, 1),
+                (0, 1, 2, 0),
+                (1, 1, 3, 0),
+                (2, 1, 0, 0),
+            ],
+        );
+        let leaves = all_leaves(&clos, &flows);
+        // One block per leaf, so waves 0..8, 8..24, 24..56, 56..64.
+        let space = CanonicalSpace::new(&clos, &endpoint_labels(&flows));
+        assert_eq!(prefix_blocks(&space, flows.len()).1, leaves);
+        for threads in [1, 2, 4] {
+            let objective = PanicsOn {
+                leaves: leaves.clone(),
+                fails: vec![9, 19, 29, 39],
+                latest: AtomicUsize::new(0),
+            };
+            let config = SearchConfig {
+                threads: Some(threads),
+                no_prune: false,
+                trace_sample: None,
+            };
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                run_search(&clos, &flows, &objective, config)
+            }))
+            .expect_err("a block panicked");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("leaf 9 failed its check"),
+                "threads={threads}"
+            );
+            // Leaves 9 and 19 fail in the second wave; the third never starts.
+            assert!(
+                objective.latest.into_inner() < 24,
+                "threads={threads}: a wave started after a panic"
             );
         }
     }

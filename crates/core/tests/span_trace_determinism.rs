@@ -5,8 +5,9 @@
 //! nanoseconds), the aggregated span tree and the [`SearchProfile`]
 //! attached to [`SearchStats`] are pure functions of the instance —
 //! byte-identical for any engine thread count, because per-block
-//! profiles merge by summation in canonical block order and worker
-//! spans root their own `search.block` paths.
+//! profiles merge by summation in canonical block order and every
+//! `search.block` span records under the caller's `search` span, on
+//! whichever worker the block ran.
 //!
 //! Everything lives in one `#[test]` because span tracing aggregates
 //! into process-global state: concurrent tests in this binary would
@@ -178,14 +179,21 @@ fn profiles_and_span_trees_are_thread_count_invariant() {
             &["search"][..],
             &["search", "search.compile"],
             &["search", "search.seed"],
-            &["search.block"],
-            &["search.block", "waterfill"],
+            &["search", "search.block"],
+            &["search", "search.block", "waterfill"],
         ] {
             assert!(
                 trace.count_at(path).is_some(),
                 "{threads}-thread trace is missing span path {path:?}"
             );
         }
+        // Blocks on spawned workers enter the caller's span path, so no
+        // block records at the trace root.
+        assert_eq!(
+            trace.count_at(&["search.block"]),
+            None,
+            "{threads}-thread trace has a top-level search.block"
+        );
         exports.push((trace.to_chrome_trace(true), trace.to_folded(true)));
     }
     clos_telemetry::reset_tracing();

@@ -13,12 +13,12 @@
 //!   `<timer>.spans`);
 //! * every `counters::NAME` / `timers::NAME` instrumentation site refers
 //!   to a static that exists in the registry;
-//! * every `span("…")` / `span_root("…")` tracing site uses a
-//!   well-formed name under the same scheme — span names become Chrome
-//!   trace-event and folded-stack frame labels, where a malformed name
-//!   corrupts the flamegraph grammar. Unlike counters, duplicates are
-//!   expected: re-instrumenting the same logical phase at several sites
-//!   is how the aggregated tree merges them.
+//! * every `span("…")` tracing site uses a well-formed name under the
+//!   same scheme — span names become Chrome trace-event and folded-stack
+//!   frame labels, where a malformed name corrupts the flamegraph
+//!   grammar. Unlike counters, duplicates are expected: re-instrumenting
+//!   the same logical phase at several sites is how the aggregated tree
+//!   merges them.
 
 use std::collections::BTreeMap;
 
@@ -93,9 +93,9 @@ pub fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                         statics.push(name_tok.text.clone());
                     }
                 }
-                // Span site: (span|span_root) ( "name" — same naming
-                // scheme as counters/timers, but duplicates are fine.
-                if (t.is_ident("span") || t.is_ident("span_root"))
+                // Span site: span ( "name" — same naming scheme as
+                // counters/timers, but duplicates are fine.
+                if t.is_ident("span")
                     && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
                     && toks.get(i + 2).is_some_and(|n| n.kind == TokenKind::Str)
                 {

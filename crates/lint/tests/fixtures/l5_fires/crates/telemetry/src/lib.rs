@@ -60,8 +60,6 @@ pub fn touch_pipeline() {
 
 /// Span stand-in (hierarchical tracing entry point).
 pub fn span(_name: &str) {}
-/// Root-span stand-in.
-pub fn span_root(_name: &str) {}
 
 /// Span sites: names share the registry scheme; the duplicate of the
 /// first name is deliberate and must NOT fire (re-instrumenting one
@@ -69,7 +67,7 @@ pub fn span_root(_name: &str) {}
 pub fn traced() {
     span("search.block");
     span("search.block");
-    span_root("Bad Span");
+    span("Bad Span");
 }
 
 /// Registered statics of the churn engine — the production `churn.*`

@@ -64,6 +64,6 @@ pub use crate::registry::{
 };
 pub use crate::report::{AuditVerdict, ExperimentRecord, JsonLinesWriter};
 pub use crate::span::{
-    reset_tracing, set_tracing, span, span_root, take_trace, tracing_enabled, ContextGuard,
-    SpanContext, SpanGuard, SpanTree,
+    reset_tracing, set_tracing, span, take_trace, tracing_enabled, ContextGuard, SpanContext,
+    SpanGuard, SpanTree,
 };

@@ -3,9 +3,8 @@
 //!
 //! # Model
 //!
-//! A *span* is a named scope opened with [`span`] (nested under the
-//! enclosing span on the same thread) or [`span_root`] (a fresh root,
-//! regardless of what is on the stack) and closed when its guard drops,
+//! A *span* is a named scope opened with [`span`], nested under the
+//! enclosing span on the same thread, and closed when its guard drops,
 //! measuring monotonic wall time in between. Spans are **aggregated, not
 //! logged**: every thread folds its closed spans into a [`SpanTree`] —
 //! one node per distinct name-path, carrying a count and a total
@@ -17,17 +16,12 @@
 //! schedule, so a `--stable` export is byte-identical for any thread
 //! count.
 //!
-//! [`span_root`] exists exactly for that determinism: a worker
-//! processing a search block opens the block span as a root, so the
-//! block subtree looks the same whether the block ran on the main thread
-//! (where an enclosing `search` span is on the stack) or on a scoped
-//! worker (where the stack is empty).
-//!
-//! [`SpanContext`] is the other way to the same end: work that belongs
-//! *under* the caller's open spans (one sweep row of an experiment)
-//! captures the caller's open span path and enters it on the worker, so
-//! a span opened there records under the caller's path — `e13;churn.epoch`
-//! whether the row ran inline or on a worker.
+//! [`SpanContext`] keeps that determinism when work is spread over
+//! worker threads: work that belongs under the caller's open spans (one
+//! sweep row of an experiment, one block of a search) captures the
+//! caller's open span path and enters it on the worker, so a span opened
+//! there records under the caller's path — `e13;churn.epoch` or
+//! `e14;search;search.block` whether the work ran inline or on a worker.
 //!
 //! # Gating and collection
 //!
@@ -304,24 +298,16 @@ impl SpanTree {
     }
 }
 
-/// One open span on a thread's stack.
-struct Frame {
-    name: &'static str,
-    /// `true` for [`span_root`] frames: the path recorded for this frame
-    /// and its descendants starts here, not at the stack bottom.
-    root: bool,
-}
-
-/// This thread's live trace: the stack of open spans plus the tree of
-/// closed ones. The tree is folded into [`FINISHED`] whenever the stack
-/// empties (closing an outermost span), so a scoped worker's spans are
-/// globally visible the moment its last guard drops — *before* the
-/// spawning `std::thread::scope` returns. (Thread-local destructors are
+/// This thread's live trace: the names of its open spans (outermost
+/// first) plus the tree of closed ones. The tree is folded into
+/// [`FINISHED`] whenever the stack empties (closing an outermost span), so
+/// a scoped worker's spans are globally visible the moment its last guard
+/// drops — *before* the spawning `std::thread::scope` returns. (Thread-local destructors are
 /// only a backstop: they may run after `scope` unblocks, too late for a
 /// `take_trace` right after the scope.)
 #[derive(Default)]
 struct ThreadTrace {
-    stack: Vec<Frame>,
+    stack: Vec<&'static str>,
     tree: SpanTree,
 }
 
@@ -348,7 +334,7 @@ thread_local! {
     static THREAD_TRACE: RefCell<ThreadTrace> = RefCell::new(ThreadTrace::default());
 }
 
-/// The guard returned by [`span`] / [`span_root`]; closes the span (and
+/// The guard returned by [`span`]; closes the span (and
 /// records its duration) on drop. Guards must drop in LIFO order, which
 /// scoped `let` bindings guarantee.
 #[must_use = "a span measures the scope of its guard"]
@@ -357,31 +343,17 @@ pub struct SpanGuard {
     start: Option<Instant>,
 }
 
-fn open(name: &'static str, root: bool) -> SpanGuard {
-    if !tracing_enabled() {
-        return SpanGuard { start: None };
-    }
-    THREAD_TRACE.with(|trace| {
-        trace.borrow_mut().stack.push(Frame { name, root });
-    });
-    SpanGuard {
-        start: Some(Instant::now()),
-    }
-}
-
 /// Opens a span named `name`, nested under the enclosing open span on
 /// this thread (if any). A no-op returning an inert guard when tracing
 /// is disabled.
 pub fn span(name: &'static str) -> SpanGuard {
-    open(name, false)
-}
-
-/// Opens a span named `name` as a fresh *root*: the recorded path starts
-/// at this span even if other spans are open on the thread. Use it for
-/// work units that may run either inline or on worker threads (e.g. one
-/// search block), so the recorded structure is identical either way.
-pub fn span_root(name: &'static str) -> SpanGuard {
-    open(name, true)
+    if !tracing_enabled() {
+        return SpanGuard { start: None };
+    }
+    THREAD_TRACE.with(|trace| trace.borrow_mut().stack.push(name));
+    SpanGuard {
+        start: Some(Instant::now()),
+    }
 }
 
 impl Drop for SpanGuard {
@@ -392,18 +364,7 @@ impl Drop for SpanGuard {
         let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         THREAD_TRACE.with(|trace| {
             let trace = &mut *trace.borrow_mut();
-            let Some(top) = trace.stack.len().checked_sub(1) else {
-                return;
-            };
-            // The recorded path runs from the innermost root frame (or
-            // the stack bottom) up to this guard's frame.
-            let base = trace.stack[..top]
-                .iter()
-                .rposition(|frame| frame.root)
-                .filter(|_| !trace.stack[top].root)
-                .unwrap_or(if trace.stack[top].root { top } else { 0 });
-            let path: Vec<&str> = trace.stack[base..].iter().map(|frame| frame.name).collect();
-            trace.tree.record_path(&path, nanos);
+            trace.tree.record_path(&trace.stack, nanos);
             trace.stack.pop();
             if trace.stack.is_empty() {
                 trace.flush();
@@ -415,13 +376,13 @@ impl Drop for SpanGuard {
 /// The open span path of one thread, captured to be entered on another.
 ///
 /// [`SpanContext::capture`] on the spawning thread records the path a
-/// span opened there would nest under; [`SpanContext::enter`] on a worker
-/// pushes that path onto the worker's stack as frames no guard closes,
-/// so the worker's spans record under it. The captured frames themselves
-/// are never recorded (the caller's own guards record them once), which
-/// keeps the tree — and the `stable` exports — identical whether the work
-/// ran inline or on workers. Captured with tracing off, the context is
-/// empty and entering it does nothing.
+/// span opened there would nest under; [`SpanContext::enter`] on a fresh
+/// worker (no span open yet) pushes that path onto the worker's stack as
+/// frames no guard closes, so the worker's spans record under it. The
+/// captured frames themselves are never recorded (the caller's own guards
+/// record them once), which keeps the tree — and the `stable` exports —
+/// identical whether the work ran inline or on workers. Captured with
+/// tracing off, the context is empty and entering it does nothing.
 ///
 /// # Examples
 ///
@@ -446,8 +407,7 @@ impl Drop for SpanGuard {
 /// ```
 #[derive(Debug, Default)]
 pub struct SpanContext {
-    /// Span names from the innermost root frame (or the stack bottom) to
-    /// the top of the capturing thread's stack.
+    /// The capturing thread's open span names, outermost first.
     path: Vec<&'static str>,
 }
 
@@ -459,12 +419,8 @@ impl SpanContext {
         if !tracing_enabled() {
             return SpanContext::default();
         }
-        THREAD_TRACE.with(|trace| {
-            let stack = &trace.borrow().stack;
-            let base = stack.iter().rposition(|frame| frame.root).unwrap_or(0);
-            SpanContext {
-                path: stack[base..].iter().map(|frame| frame.name).collect(),
-            }
+        THREAD_TRACE.with(|trace| SpanContext {
+            path: trace.borrow().stack.clone(),
         })
     }
 
@@ -480,14 +436,7 @@ impl SpanContext {
         THREAD_TRACE.with(|trace| {
             let stack = &mut trace.borrow_mut().stack;
             let depth = stack.len();
-            // The first frame is a root so the path is the same on a
-            // thread that already has spans open.
-            stack.extend(
-                self.path
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &name)| Frame { name, root: i == 0 }),
-            );
+            stack.extend_from_slice(&self.path);
             ContextGuard { depth: Some(depth) }
         })
     }
@@ -586,27 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn span_root_detaches_from_the_stack() {
-        let _guard = serial();
-        reset_tracing();
-        set_tracing(true);
-        {
-            let _outer = span("outer");
-            let _block = span_root("block");
-            let _leaf = span("leaf");
-        }
-        set_tracing(false);
-        let trace = take_trace();
-        // The block subtree sits at the root, not under "outer", and the
-        // leaf nests under the block — same shape a worker thread records.
-        assert_eq!(trace.count_at(&["block"]), Some(1));
-        assert_eq!(trace.count_at(&["block", "leaf"]), Some(1));
-        assert_eq!(trace.count_at(&["outer", "block"]), None);
-        assert_eq!(trace.count_at(&["outer"]), Some(1));
-        reset_tracing();
-    }
-
-    #[test]
     fn worker_threads_fold_into_the_global_trace() {
         let _guard = serial();
         reset_tracing();
@@ -614,7 +542,7 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..2 {
                 scope.spawn(|| {
-                    let _block = span_root("block");
+                    let _block = span("block");
                     let _leaf = span("leaf");
                 });
             }
@@ -708,31 +636,6 @@ mod tests {
         };
         set_tracing(false);
         assert_eq!(seen, Some(1));
-        reset_tracing();
-    }
-
-    #[test]
-    fn context_inside_a_root_span_starts_at_the_root() {
-        let _guard = serial();
-        reset_tracing();
-        set_tracing(true);
-        {
-            let _outer = span("outer");
-            let _block = span_root("block");
-            let context = SpanContext::capture();
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    let _open = span("open");
-                    let _entered = context.enter();
-                    let _leaf = span("leaf");
-                });
-            });
-        }
-        set_tracing(false);
-        let trace = take_trace();
-        assert_eq!(trace.count_at(&["block", "leaf"]), Some(1));
-        assert_eq!(trace.count_at(&["open"]), Some(1));
-        assert_eq!(trace.count_at(&["open", "block", "leaf"]), None);
         reset_tracing();
     }
 
