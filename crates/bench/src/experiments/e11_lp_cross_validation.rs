@@ -4,7 +4,7 @@
 
 use clos_core::lp_models::{max_min_via_lp, max_splittable_throughput, splittable_max_min};
 use clos_core::macro_switch::{macro_max_min, max_throughput};
-use clos_fairness::max_min_fair;
+use clos_core::RoutedAllocation;
 use clos_net::{ClosNetwork, Flow, MacroSwitch, Routing};
 use clos_rational::Rational;
 use rand::rngs::StdRng;
@@ -53,16 +53,15 @@ pub fn run(seeds: &[u64], flows_per_instance: usize) -> Vec<Row> {
             .collect();
         let ms_flows = ms.translate_flows(&clos, &flows);
 
-        let wf = max_min_fair::<Rational>(clos.network(), &flows, &routing)
-            .expect("Clos links are finite");
-        let lp = max_min_via_lp(clos.network(), &flows, &routing);
+        let wf = RoutedAllocation::new(&clos, &flows, routing);
+        let lp = max_min_via_lp(clos.network(), &flows, &wf.routing);
         let split = splittable_max_min(&clos, &flows);
         let ms_alloc = macro_max_min(&ms, &ms_flows);
 
         rows.push(Row {
             instance: format!("uniform C_2 (seed={seed})"),
             flows: flows.len(),
-            lp_matches_waterfill: lp == wf,
+            lp_matches_waterfill: lp == wf.allocation,
             splittable_matches_macro: split == ms_alloc,
             splittable_throughput: max_splittable_throughput(&clos, &flows),
             matching_throughput: max_throughput(&ms, &ms_flows).throughput(),

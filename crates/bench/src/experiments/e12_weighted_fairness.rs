@@ -9,8 +9,8 @@
 //! relative guarantee where unweighted fairness has none.
 
 use clos_core::constructions::theorem_4_3;
-use clos_core::relative::macro_reference_rates;
-use clos_fairness::{max_min_fair, max_min_fair_weighted};
+use clos_core::relative::{macro_reference_rates, relative_rates};
+use clos_fairness::{max_min_fair_weighted, Allocation};
 use clos_rational::Rational;
 
 use crate::table::Table;
@@ -41,20 +41,15 @@ pub fn run(ns: &[usize]) -> Vec<Row> {
         let t = theorem_4_3(n);
         let clos = &t.instance.clos;
         let flows = &t.instance.flows;
-        let routing = t.certificate_routing();
         let reference = macro_reference_rates(clos, &t.instance.ms, flows);
 
-        let unweighted = max_min_fair::<Rational>(clos.network(), flows, &routing)
-            .expect("Clos links are finite");
-        let weighted = max_min_fair_weighted(clos.network(), flows, &routing, &reference)
+        let cert = t.certificate();
+        let unweighted = &cert.allocation;
+        let weighted = max_min_fair_weighted(clos.network(), flows, &cert.routing, &reference)
             .expect("weights are strictly positive macro-switch rates");
 
-        let min_ratio = |alloc: &clos_fairness::Allocation<Rational>| {
-            alloc
-                .rates()
-                .iter()
-                .zip(&reference)
-                .map(|(a, m)| *a / *m)
+        let min_ratio = |alloc: &Allocation<Rational>| {
+            relative_rates(alloc.rates(), &reference)
                 .min()
                 .expect("nonempty")
         };
@@ -64,7 +59,7 @@ pub fn run(ns: &[usize]) -> Vec<Row> {
             unweighted_rate: unweighted.rate(t.type3_flow()),
             weighted_rate: weighted.rate(t.type3_flow()),
             predicted_weighted: Rational::new(n as i128, (2 * n - 1) as i128),
-            unweighted_min_ratio: min_ratio(&unweighted),
+            unweighted_min_ratio: min_ratio(unweighted),
             weighted_min_ratio: min_ratio(&weighted),
         });
     }

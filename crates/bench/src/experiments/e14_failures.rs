@@ -30,7 +30,8 @@
 use clos_churn::LocalReroute;
 use clos_core::doom_switch::doom_switch_assignment;
 use clos_core::objectives::{search_lex_max_min, search_throughput_max_min};
-use clos_fairness::{max_min_fair, Allocation};
+use clos_core::RoutedAllocation;
+use clos_fairness::Allocation;
 use clos_net::{ClosNetwork, FailureSchedule, Flow, LinkId, MacroSwitch, Routing};
 use clos_rational::Rational;
 
@@ -135,19 +136,6 @@ fn reroute_sweep(
     (moved, stuck)
 }
 
-/// Water-fills `assignment` on (possibly failed) `clos` exactly.
-fn allocate(clos: &ClosNetwork, flows: &[Flow], assignment: &[usize]) -> Allocation<Rational> {
-    let routing = Routing::new(
-        flows
-            .iter()
-            .zip(assignment)
-            .map(|(&f, &m)| clos.path_via(f, m))
-            .collect(),
-    );
-    max_min_fair::<Rational>(clos.network(), flows, &routing)
-        .expect("dead Clos links are finite (zero capacity)")
-}
-
 fn starved(alloc: &Allocation<Rational>) -> usize {
     alloc.rates().iter().filter(|r| r.is_zero()).count()
 }
@@ -201,9 +189,11 @@ pub fn run(ns: &[usize], steps: usize) -> Vec<Row> {
 
             let (opt_lex, _) = search_lex_max_min(&failed, &flows);
             let (opt_tput, _) = search_throughput_max_min(&failed, &flows);
-            let lex_alloc = allocate(&failed, &flows, &lex_asn);
-            let tput_alloc = allocate(&failed, &flows, &tput_asn);
-            let doom_alloc = allocate(&failed, &flows, &doom_asn);
+            let lex_alloc = RoutedAllocation::from_assignment(&failed, &flows, &lex_asn).allocation;
+            let tput_alloc =
+                RoutedAllocation::from_assignment(&failed, &flows, &tput_asn).allocation;
+            let doom_alloc =
+                RoutedAllocation::from_assignment(&failed, &flows, &doom_asn).allocation;
 
             let opt_starved = starved(&opt_lex.allocation);
             let lex_reroute_starved = starved(&lex_alloc);

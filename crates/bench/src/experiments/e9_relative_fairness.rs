@@ -9,7 +9,9 @@
 
 use clos_core::constructions::{example_2_3, theorem_4_3};
 use clos_core::objectives::search_lex_max_min;
-use clos_core::relative::{macro_reference_rates, relative_local_search, search_relative_max_min};
+use clos_core::relative::{
+    macro_reference_rates, relative_local_search, relative_rates, search_relative_max_min,
+};
 use clos_core::routers::{route_and_allocate, GreedyRouter};
 use clos_net::{ClosNetwork, Flow, MacroSwitch};
 use clos_rational::Rational;
@@ -37,12 +39,7 @@ pub struct Row {
 }
 
 fn min_ratio(rates: &[Rational], reference: &[Rational]) -> Rational {
-    rates
-        .iter()
-        .zip(reference)
-        .map(|(a, m)| *a / *m)
-        .min()
-        .expect("nonempty")
+    relative_rates(rates, reference).min().expect("nonempty")
 }
 
 fn row_for(

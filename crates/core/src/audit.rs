@@ -15,6 +15,7 @@ use clos_net::{ClosNetwork, Flow, FlowId, MacroSwitch, NodeKind, Routing};
 use clos_rational::Rational;
 
 use crate::macro_switch::{macro_max_min, max_throughput};
+use crate::relative::relative_rates;
 
 /// Where a flow's bottleneck link sits.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -164,12 +165,7 @@ pub fn audit_routing(
 
     let ms_flows = ms.translate_flows(clos, flows);
     let macro_allocation = macro_max_min(ms, &ms_flows);
-    let ratios = allocation
-        .rates()
-        .iter()
-        .zip(macro_allocation.rates())
-        .map(|(a, m)| *a / *m)
-        .collect();
+    let ratios = relative_rates(allocation.rates(), macro_allocation.rates()).collect();
     let max_throughput = max_throughput(ms, &ms_flows).throughput();
 
     RoutingAudit {

@@ -19,8 +19,13 @@
 //!   without any sharing between threads.
 //!
 //! Construction is timed under the `search.compile` telemetry timer —
-//! the cost is paid once per search instead of once per evaluated
-//! routing.
+//! the cost is paid once per instance instead of once per evaluated
+//! routing. Besides the search engine, the candidate loops that score
+//! many assignments of one instance compile it too: E4's dominance
+//! battery and [`relative_local_search`](crate::relative::relative_local_search).
+//! One-shot callers that need the routing itself use
+//! [`RoutedAllocation::from_assignment`](crate::RoutedAllocation::from_assignment),
+//! whose rates equal [`CompiledInstance::evaluate`]'s.
 //!
 //! Finiteness of fabric links is a construction-time invariant here:
 //! every link of every compiled path must be finite (true of every
@@ -305,8 +310,9 @@ impl EvalScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clos_fairness::max_min_fair;
-    use clos_net::{ClosNetwork, Routing};
+    use crate::RoutedAllocation;
+    use clos_net::{BenesNetwork, ClosNetwork, FatTree, NodeKind};
+    use proptest::prelude::*;
 
     fn r(n: i128, d: i128) -> Rational {
         Rational::new(n, d)
@@ -321,19 +327,58 @@ mod tests {
             Flow::new(clos.source(1, 0), clos.destination(1, 0)),
             Flow::new(clos.source(0, 0), clos.destination(0, 0)),
         ];
-        let compiled = CompiledInstance::new(&clos, &flows);
-        let mut scratch = EvalScratch::default();
         for assignment in [[0, 0, 0, 0], [0, 1, 0, 1], [1, 1, 0, 0], [0, 1, 1, 0]] {
-            compiled.evaluate(&mut scratch, &assignment);
-            let routing = Routing::new(
-                flows
-                    .iter()
-                    .zip(assignment)
-                    .map(|(&f, m)| clos.path_via(f, m))
-                    .collect(),
-            );
-            let fresh = max_min_fair::<Rational>(clos.network(), &flows, &routing).unwrap();
-            assert_eq!(scratch.rates(), fresh.rates(), "assignment {assignment:?}");
+            assert_matches_materialised(&clos, &flows, &assignment);
+        }
+    }
+
+    /// The compiled rates of `assignment` equal those of the routing it
+    /// materialises to, water-filled by [`RoutedAllocation::from_assignment`].
+    fn assert_matches_materialised<F: Fabric>(fabric: &F, flows: &[Flow], assignment: &[usize]) {
+        let compiled = CompiledInstance::new(fabric, flows);
+        let mut scratch = EvalScratch::default();
+        compiled.evaluate(&mut scratch, assignment);
+        let routed = RoutedAllocation::from_assignment(fabric, flows, assignment);
+        assert_eq!(
+            scratch.rates(),
+            routed.allocation.rates(),
+            "assignment {assignment:?}"
+        );
+    }
+
+    /// Flows between the picked hosts of `fabric` (indices taken modulo
+    /// the host and class counts), each via its picked class.
+    fn check_picks<F: Fabric>(fabric: &F, picks: &[(usize, usize, usize)]) {
+        let net = fabric.network();
+        let sources = net.nodes_of_kind(NodeKind::Source);
+        let destinations = net.nodes_of_kind(NodeKind::Destination);
+        let flows: Vec<Flow> = picks
+            .iter()
+            .map(|&(s, d, _)| {
+                Flow::new(
+                    sources[s % sources.len()],
+                    destinations[d % destinations.len()],
+                )
+            })
+            .collect();
+        let assignment: Vec<usize> = picks
+            .iter()
+            .map(|&(_, _, c)| c % fabric.class_count())
+            .collect();
+        assert_matches_materialised(fabric, &flows, &assignment);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn evaluate_matches_materialised_rates_on_every_fabric(
+            picks in prop::collection::vec((0..64usize, 0..64usize, 0..64usize), 1..14),
+        ) {
+            check_picks(&ClosNetwork::standard(3), &picks);
+            check_picks(&BenesNetwork::standard(3), &picks);
+            // Oversubscribed 2:1 at the edge, so interior links bottleneck.
+            check_picks(&FatTree::new(4, Rational::TWO), &picks);
         }
     }
 

@@ -11,10 +11,11 @@
 //! Indices follow the crate's 0-based convention; the paper is 1-based
 //! (`s_1^2` in the paper is `source(0, 1)` here).
 
-use clos_fairness::{max_min_fair, Allocation};
-use clos_net::{expect_server_coords, ClosNetwork, Flow, FlowId, MacroSwitch, NodeKind, Routing};
+use clos_fairness::Allocation;
+use clos_net::{expect_server_coords, ClosNetwork, Flow, FlowId, MacroSwitch, NodeKind};
 use clos_rational::Rational;
 
+use crate::routed::assignment_routing;
 use crate::RoutedAllocation;
 
 /// A flow collection instantiated on both `C_n` and `MS_n`.
@@ -68,19 +69,7 @@ impl Instance {
     /// Panics if the assignment length or any middle index is out of range.
     #[must_use]
     pub fn clos_allocation(&self, assignment: &[usize]) -> RoutedAllocation {
-        assert_eq!(assignment.len(), self.flows.len(), "assignment length");
-        let routing: Routing = self
-            .flows
-            .iter()
-            .zip(assignment)
-            .map(|(&f, &m)| self.clos.path_via(f, m))
-            .collect();
-        let allocation = max_min_fair::<Rational>(self.clos.network(), &self.flows, &routing)
-            .expect("Clos links are finite");
-        RoutedAllocation {
-            routing,
-            allocation,
-        }
+        RoutedAllocation::from_assignment(&self.clos, &self.flows, assignment)
     }
 }
 
@@ -304,34 +293,32 @@ impl Theorem43 {
         }
     }
 
-    /// The certificate routing of Lemma 4.6 (Step 1), whose max-min fair
-    /// allocation the paper proves lex-max-min fair:
+    /// The certificate middle-switch assignment of Lemma 4.6 (Step 1),
+    /// one middle per flow, whose max-min fair allocation the paper
+    /// proves lex-max-min fair:
     ///
     /// * type-1 flows `(s_i^j, t_i^j)` go via `M_{((i−1)+(j−1)) mod n}`
     ///   (0-based; the paper's `M_{k+1}`, `k = i + j − 2 (mod n)`);
     /// * type-2 flows leaving `I_i` all go via `M_i`;
     /// * the type-3 flow goes via `M_n` (0-based `n − 1`).
     #[must_use]
-    pub fn certificate_routing(&self) -> Routing {
+    pub fn certificate_assignment(&self) -> Vec<usize> {
         let clos = &self.instance.clos;
         self.instance
             .flows
             .iter()
             .zip(&self.types)
-            .map(|(&f, &ty)| {
-                let m = match ty {
-                    FlowType::Type1 => {
-                        let (i, j) = expect_server_coords(
-                            f.src(),
-                            NodeKind::Source,
-                            clos.source_coords(f.src()),
-                        );
-                        (i + j) % self.n
-                    }
-                    FlowType::Type2a | FlowType::Type2b => clos.src_tor(f),
-                    FlowType::Type3 => self.n - 1,
-                };
-                clos.path_via(f, m)
+            .map(|(&f, &ty)| match ty {
+                FlowType::Type1 => {
+                    let (i, j) = expect_server_coords(
+                        f.src(),
+                        NodeKind::Source,
+                        clos.source_coords(f.src()),
+                    );
+                    (i + j) % self.n
+                }
+                FlowType::Type2a | FlowType::Type2b => clos.src_tor(f),
+                FlowType::Type3 => self.n - 1,
             })
             .collect()
     }
@@ -340,14 +327,11 @@ impl Theorem43 {
     /// Lemma 4.6, a lex-max-min fair allocation of the instance.
     #[must_use]
     pub fn certificate(&self) -> RoutedAllocation {
-        let routing = self.certificate_routing();
-        let allocation =
-            max_min_fair::<Rational>(self.instance.clos.network(), &self.instance.flows, &routing)
-                .expect("Clos links are finite");
-        RoutedAllocation {
-            routing,
-            allocation,
-        }
+        // The assignment is dropped before the water-fill: at n = 32 its
+        // ~270 KB would sit on top of the water-fill's peak memory.
+        let (clos, flows) = (&self.instance.clos, &self.instance.flows);
+        let routing = assignment_routing(clos, flows, &self.certificate_assignment());
+        RoutedAllocation::new(clos, flows, routing)
     }
 }
 

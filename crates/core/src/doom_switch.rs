@@ -1,12 +1,13 @@
 //! The Doom-Switch algorithm (Algorithm 1) and the link-disjoint
 //! maximum-throughput routing (Lemma 5.2).
 
-use clos_fairness::{max_min_fair, Allocation};
+use clos_fairness::Allocation;
 use clos_graph::{edge_coloring, maximum_matching};
-use clos_net::{ClosNetwork, Flow, MacroSwitch, Routing};
+use clos_net::{ClosNetwork, Flow, MacroSwitch};
 use clos_rational::Rational;
 
 use crate::graphs::{ms_flow_multigraph, tor_flow_multigraph_subset};
+use crate::routed::assignment_routing;
 use crate::RoutedAllocation;
 
 /// Computes the per-flow middle-switch assignment of the Doom-Switch
@@ -116,18 +117,7 @@ pub fn doom_switch_assignment(clos: &ClosNetwork, ms: &MacroSwitch, flows: &[Flo
 /// ```
 #[must_use]
 pub fn doom_switch(clos: &ClosNetwork, ms: &MacroSwitch, flows: &[Flow]) -> RoutedAllocation {
-    let assignment = doom_switch_assignment(clos, ms, flows);
-    let routing: Routing = flows
-        .iter()
-        .zip(&assignment)
-        .map(|(&f, &m)| clos.path_via(f, m))
-        .collect();
-    let allocation =
-        max_min_fair::<Rational>(clos.network(), flows, &routing).expect("Clos links are finite");
-    RoutedAllocation {
-        routing,
-        allocation,
-    }
+    RoutedAllocation::from_assignment(clos, flows, &doom_switch_assignment(clos, ms, flows))
 }
 
 /// Replicates a maximum-throughput macro-switch allocation in the Clos
@@ -166,13 +156,8 @@ pub fn link_disjoint_max_throughput(
         assignment[flow_idx] = coloring.color(pos);
         rates[flow_idx] = Rational::ONE;
     }
-    let routing: Routing = flows
-        .iter()
-        .zip(&assignment)
-        .map(|(&f, &m)| clos.path_via(f, m))
-        .collect();
     RoutedAllocation {
-        routing,
+        routing: assignment_routing(clos, flows, &assignment),
         allocation: Allocation::from_rates(rates),
     }
 }

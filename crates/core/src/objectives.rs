@@ -37,9 +37,7 @@
 //!
 //! [`constructions`]: crate::constructions
 
-use clos_fairness::max_min_fair;
-use clos_net::{Fabric, Flow, Routing};
-use clos_rational::Rational;
+use clos_net::{Fabric, Flow};
 use clos_telemetry::counters;
 
 use crate::search::{
@@ -220,29 +218,6 @@ pub fn for_each_canonical_assignment<F: Fabric>(
     walk_completions(&space, &mut assignment, &mut used, 0, &mut Each(visit));
 }
 
-fn routing_from_assignment<F: Fabric>(fabric: &F, flows: &[Flow], assignment: &[usize]) -> Routing {
-    flows
-        .iter()
-        .zip(assignment)
-        .map(|(&f, &c)| fabric.path_via_class(f, c))
-        .collect()
-}
-
-/// Rebuilds the winning routing and allocation once, after the search.
-///
-/// The scan itself only tracks the best canonical assignment and key;
-/// materializing `Routing` + `Allocation` per improvement would allocate
-/// proportionally to the improvement count for no benefit.
-fn finish<F: Fabric>(fabric: &F, flows: &[Flow], assignment: &[usize]) -> RoutedAllocation {
-    let routing = routing_from_assignment(fabric, flows, assignment);
-    let allocation = max_min_fair::<Rational>(fabric.network(), flows, &routing)
-        .expect("fabric links are finite");
-    RoutedAllocation {
-        routing,
-        allocation,
-    }
-}
-
 /// Computes a lex-max-min fair allocation `a^L-MmF` (Definition 2.4) by
 /// exhaustive search, returning the optimal routing, its allocation, and
 /// search statistics.
@@ -277,7 +252,10 @@ pub fn search_lex_max_min_with<F: Fabric + Sync>(
     config: SearchConfig,
 ) -> (RoutedAllocation, SearchStats) {
     let (assignment, stats) = run_search(fabric, flows, &LexMaxMin, config);
-    (finish(fabric, flows, &assignment), stats)
+    (
+        RoutedAllocation::from_assignment(fabric, flows, &assignment),
+        stats,
+    )
 }
 
 /// Computes a lex-max-min fair allocation (Definition 2.4); convenience
@@ -342,7 +320,10 @@ pub fn search_throughput_max_min_with<F: Fabric + Sync>(
     config: SearchConfig,
 ) -> (RoutedAllocation, SearchStats) {
     let (assignment, stats) = run_search(fabric, flows, &ThroughputMaxMin, config);
-    (finish(fabric, flows, &assignment), stats)
+    (
+        RoutedAllocation::from_assignment(fabric, flows, &assignment),
+        stats,
+    )
 }
 
 /// Computes a throughput-max-min fair allocation (Definition 2.5);
@@ -361,6 +342,7 @@ mod tests {
     use super::*;
     use clos_fairness::verify_bottleneck_property;
     use clos_net::ClosNetwork;
+    use clos_rational::Rational;
 
     fn r(n: i128, d: i128) -> Rational {
         Rational::new(n, d)
@@ -523,8 +505,7 @@ mod tests {
         let best = lex_max_min(&clos, &flows);
         let best_sorted = best.allocation.sorted();
         for_each_canonical_assignment(&clos, &flows, |assignment| {
-            let routing = routing_from_assignment(&clos, &flows, assignment);
-            let a = max_min_fair::<Rational>(clos.network(), &flows, &routing).unwrap();
+            let a = RoutedAllocation::from_assignment(&clos, &flows, assignment).allocation;
             assert!(best_sorted >= a.sorted());
         });
     }
@@ -535,8 +516,7 @@ mod tests {
         let flows = example_2_3_flows(&clos);
         let best = throughput_max_min(&clos, &flows);
         for_each_canonical_assignment(&clos, &flows, |assignment| {
-            let routing = routing_from_assignment(&clos, &flows, assignment);
-            let a = max_min_fair::<Rational>(clos.network(), &flows, &routing).unwrap();
+            let a = RoutedAllocation::from_assignment(&clos, &flows, assignment).allocation;
             assert!(best.throughput() >= a.throughput());
         });
     }

@@ -14,14 +14,15 @@
 //! * [`relative_local_search`] — greedy seeding plus single-flow local
 //!   search on the sorted ratio vector (any instance size).
 
-use clos_fairness::{max_min_fair, Allocation, SortedRates};
-use clos_net::{ClosNetwork, Flow, MacroSwitch, Routing};
+use clos_fairness::{Allocation, SortedRates};
+use clos_net::{ClosNetwork, Flow, MacroSwitch};
 use clos_rational::Rational;
 
-use crate::compiled::EvalScratch;
+use crate::compiled::{CompiledInstance, EvalScratch};
 use crate::macro_switch::macro_max_min;
 use crate::objectives::SearchStats;
-use crate::routers::{GreedyRouter, Router};
+use crate::routed::assignment_routing;
+use crate::routers::{GreedyRouter, RouteView};
 use crate::search::{run_search, Objective, Problem, SearchConfig};
 use crate::RoutedAllocation;
 
@@ -70,34 +71,29 @@ pub fn macro_reference_rates(
     macro_max_min(ms, &ms_flows).rates().to_vec()
 }
 
-fn ratios_for(allocation: &Allocation<Rational>, reference: &[Rational]) -> Vec<Rational> {
-    allocation
-        .rates()
-        .iter()
-        .zip(reference)
-        .map(|(a, m)| {
-            debug_assert!(m.is_positive(), "macro-switch rates are positive");
-            *a / *m
-        })
-        .collect()
-}
-
-fn outcome_for(
-    clos: &ClosNetwork,
-    flows: &[Flow],
-    routing: Routing,
-    reference: &[Rational],
-) -> RelativeOutcome {
-    let allocation =
-        max_min_fair::<Rational>(clos.network(), flows, &routing).expect("finite links");
-    let ratios = ratios_for(&allocation, reference);
-    RelativeOutcome {
-        routed: RoutedAllocation {
-            routing,
-            allocation,
-        },
-        ratios,
-    }
+/// Per-flow relative rates `rates[i] / reference[i]`, in flow order —
+/// the one place a rate is divided by its macro-switch reference.
+///
+/// # Examples
+///
+/// ```
+/// use clos_core::relative::relative_rates;
+/// use clos_rational::Rational;
+///
+/// let r = |n, d| Rational::new(n, d);
+/// let rates = [r(1, 3), r(1, 2)];
+/// let reference = [r(2, 3), r(1, 2)];
+/// let ratios: Vec<Rational> = relative_rates(&rates, &reference).collect();
+/// assert_eq!(ratios, vec![r(1, 2), Rational::ONE]);
+/// ```
+pub fn relative_rates<'a>(
+    rates: &'a [Rational],
+    reference: &'a [Rational],
+) -> impl Iterator<Item = Rational> + 'a {
+    rates.iter().zip(reference).map(|(&a, &m)| {
+        debug_assert!(m.is_positive(), "macro-switch rates are positive");
+        a / m
+    })
 }
 
 /// Computes a relative-max-min fair allocation exactly: over all routings,
@@ -148,26 +144,16 @@ pub fn search_relative_max_min(
     struct RelativeObjective<'r> {
         reference: &'r [Rational],
     }
-    impl RelativeObjective<'_> {
-        fn push_ratios(&self, rates: &[Rational], buf: &mut Vec<Rational>) {
-            debug_assert!(
-                self.reference.iter().all(|m| m.is_positive()),
-                "macro-switch rates are positive"
-            );
-            buf.extend(rates.iter().zip(self.reference).map(|(a, m)| *a / *m));
-        }
-    }
     impl Objective for RelativeObjective<'_> {
         type Key = SortedRates<Rational>;
 
         fn key(&self, scratch: &mut EvalScratch) -> Self::Key {
-            let mut ratios = Vec::with_capacity(scratch.rates().len());
-            self.push_ratios(scratch.rates(), &mut ratios);
-            SortedRates::from_unsorted(ratios)
+            SortedRates::from_unsorted(relative_rates(scratch.rates(), self.reference).collect())
         }
 
         fn beats(&self, incumbent: &Self::Key, scratch: &mut EvalScratch) -> bool {
-            scratch.sorted_by(|rates, buf| self.push_ratios(rates, buf)) > incumbent.rates()
+            scratch.sorted_by(|rates, buf| buf.extend(relative_rates(rates, self.reference)))
+                > incumbent.rates()
         }
 
         fn prefix_bound(
@@ -185,12 +171,9 @@ pub fn search_relative_max_min(
         reference: &reference,
     };
     let (assignment, stats) = run_search(clos, flows, &objective, SearchConfig::default());
-    let routing: Routing = flows
-        .iter()
-        .zip(&assignment)
-        .map(|(&f, &m)| clos.path_via(f, m))
-        .collect();
-    (outcome_for(clos, flows, routing, &reference), stats)
+    let routed = RoutedAllocation::from_assignment(clos, flows, &assignment);
+    let ratios = relative_rates(routed.allocation.rates(), &reference).collect();
+    (RelativeOutcome { routed, ratios }, stats)
 }
 
 /// Approximates a relative-max-min fair allocation: greedy seeding, then
@@ -214,25 +197,31 @@ pub fn relative_local_search(
     let reference = macro_reference_rates(clos, ms, flows);
 
     let demands = crate::routers::macro_demands(clos, ms, flows);
-    let seed_routing = GreedyRouter::new().route(clos, &demands, flows);
-    let mut assignment: Vec<usize> = (0..flows.len())
-        .map(|i| {
-            clos.middle_of_path(&seed_routing.paths()[i])
-                .expect("greedy paths cross the fabric")
-        })
-        .collect();
+    let mut assignment =
+        GreedyRouter::assignment(&mut RouteView::new(clos, flows), &demands, flows);
 
-    let evaluate = |assignment: &[usize]| -> (SortedRates<Rational>, RelativeOutcome) {
-        let routing: Routing = flows
-            .iter()
-            .zip(assignment)
-            .map(|(&f, &m)| clos.path_via(f, m))
-            .collect();
-        let outcome = outcome_for(clos, flows, routing, &reference);
-        (outcome.sorted_ratios(), outcome)
+    // Candidates are scored on the compiled evaluator; only the best
+    // one's rates are kept. They are its max-min fair allocation, so
+    // materialising the winner needs no second water-fill. The empty
+    // initial best loses to any candidate, so the seed is always taken.
+    let compiled = CompiledInstance::new(clos, flows);
+    let mut scratch = EvalScratch::default();
+    let mut best_sorted = Vec::with_capacity(flows.len());
+    let mut best_rates = Vec::with_capacity(flows.len());
+    let mut improves = |assignment: &[usize]| {
+        compiled.evaluate(&mut scratch, assignment);
+        let sorted = scratch.sorted_by(|rates, buf| buf.extend(relative_rates(rates, &reference)));
+        if sorted <= best_sorted.as_slice() {
+            return false;
+        }
+        best_sorted.clear();
+        best_sorted.extend_from_slice(sorted);
+        best_rates.clear();
+        best_rates.extend_from_slice(scratch.rates());
+        true
     };
 
-    let (mut best_sorted, mut best_outcome) = evaluate(&assignment);
+    improves(&assignment);
     for _ in 0..max_rounds {
         let mut improved = false;
         // Phase 1: single-flow moves.
@@ -243,10 +232,7 @@ pub fn relative_local_search(
                     continue;
                 }
                 assignment[i] = m;
-                let (sorted, outcome) = evaluate(&assignment);
-                if sorted > best_sorted {
-                    best_sorted = sorted;
-                    best_outcome = outcome;
+                if improves(&assignment) {
                     improved = true;
                     break; // keep the move
                 }
@@ -267,10 +253,7 @@ pub fn relative_local_search(
                             }
                             assignment[i] = mi;
                             assignment[j] = mj;
-                            let (sorted, outcome) = evaluate(&assignment);
-                            if sorted > best_sorted {
-                                best_sorted = sorted;
-                                best_outcome = outcome;
+                            if improves(&assignment) {
                                 improved = true;
                                 break 'pairs;
                             }
@@ -285,7 +268,15 @@ pub fn relative_local_search(
             break;
         }
     }
-    best_outcome
+    // Every rejected move is undone, so `assignment` is the best one.
+    let ratios = relative_rates(&best_rates, &reference).collect();
+    RelativeOutcome {
+        routed: RoutedAllocation {
+            routing: assignment_routing(clos, flows, &assignment),
+            allocation: Allocation::from_rates(best_rates),
+        },
+        ratios,
+    }
 }
 
 #[cfg(test)]
@@ -293,6 +284,7 @@ mod tests {
     use super::*;
     use crate::constructions::{example_2_3, theorem_4_3};
     use crate::objectives::search_lex_max_min;
+    use clos_net::Routing;
 
     fn r(n: i128, d: i128) -> Rational {
         Rational::new(n, d)
@@ -334,6 +326,58 @@ mod tests {
         let (best, _) = search_relative_max_min(&clos, &ms, &flows);
         assert!(best.ratios.iter().all(|&x| x == Rational::ONE));
         assert_eq!(best.min_ratio(), Rational::ONE);
+    }
+
+    /// Middles, flow-order ratios and sorted ratios of a local-search
+    /// outcome, as space-separated text.
+    fn summary(clos: &ClosNetwork, out: &RelativeOutcome) -> [String; 3] {
+        let join = |v: &[Rational]| {
+            v.iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        let middles = out
+            .routed
+            .routing
+            .paths()
+            .iter()
+            .map(|p| clos.middle_of_path(p).unwrap().to_string())
+            .collect::<Vec<_>>()
+            .join(" ");
+        [
+            middles,
+            join(&out.ratios),
+            join(out.sorted_ratios().rates()),
+        ]
+    }
+
+    /// Pinned outcomes of the local search (E9's Theorem 4.3 call, and
+    /// Example 2.3), so the candidate scoring cannot drift silently.
+    #[test]
+    fn local_search_reference_outcomes() {
+        let t = theorem_4_3(3);
+        let out = relative_local_search(&t.instance.clos, &t.instance.ms, &t.instance.flows, 3);
+        assert_eq!(
+            summary(&t.instance.clos, &out),
+            [
+                "2 1 2 0 1 2 0 1 2 1 2 0 1 2 0 1 0 0 0 0 1 2 0 1 0 0 2 1 2 1 2 1 2 0",
+                "1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 4/5 4/5 4/5 4/5 16/15 16/15 4/5 16/15 \
+                 3/2 3/2 1 3/4 3/4 3/4 3/4 1 1 1",
+                "3/4 3/4 3/4 3/4 4/5 4/5 4/5 4/5 4/5 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 \
+                 16/15 16/15 16/15 3/2 3/2",
+            ]
+        );
+        let ex = example_2_3();
+        let out = relative_local_search(&ex.instance.clos, &ex.instance.ms, &ex.instance.flows, 4);
+        assert_eq!(
+            summary(&ex.instance.clos, &out),
+            ["1 1 1 0 0 0", "1 1 1 3/4 3/4 1", "3/4 3/4 1 1 1 1"]
+        );
+        assert_eq!(
+            out.routed.allocation.rates(),
+            &[r(1, 3), r(1, 3), r(1, 3), r(1, 2), r(1, 2), Rational::ONE]
+        );
     }
 
     #[test]

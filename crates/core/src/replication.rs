@@ -16,6 +16,7 @@ use clos_net::{ClosNetwork, Fabric, Flow, Routing};
 use clos_rational::Rational;
 
 use crate::compiled::EvalScratch;
+use crate::routed::assignment_routing;
 use crate::search::{first_equal_labels, run_search, Objective, Problem, SearchConfig};
 
 /// Searches for a feasible routing of `flows` at the given fixed rates.
@@ -83,11 +84,7 @@ pub fn find_feasible_routing<F: Fabric + Sync>(
     for (&i, &c) in order.iter().zip(&winner) {
         classes[i] = c;
     }
-    let routing: Routing = flows
-        .iter()
-        .zip(&classes)
-        .map(|(&f, &c)| fabric.path_via_class(f, c))
-        .collect();
+    let routing = assignment_routing(fabric, flows, &classes);
     // The winner is the seed when no assignment is feasible.
     is_replication_feasible(fabric, flows, rates, &routing).then_some(routing)
 }
@@ -232,13 +229,7 @@ pub fn first_fit_routing(
         down[best][dst] -= rate;
         assignment[i] = best;
     }
-    Some(
-        flows
-            .iter()
-            .zip(&assignment)
-            .map(|(&f, &m)| clos.path_via(f, m))
-            .collect(),
-    )
+    Some(assignment_routing(clos, flows, &assignment))
 }
 
 /// Checks that `routing` carries `flows` at `rates` within every capacity

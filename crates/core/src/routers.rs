@@ -25,6 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::macro_switch::macro_max_min;
+use crate::routed::assignment_routing;
 
 /// A routing algorithm for multi-stage fabrics (Clos by default).
 ///
@@ -58,7 +59,7 @@ pub trait Router<F: Fabric = ClosNetwork> {
 /// enumerates uplinks then downlinks in the same order — so every greedy
 /// / first-fit / local-search / annealing decision (including
 /// tie-breaks) is unchanged on Clos.
-struct RouteView {
+pub(crate) struct RouteView {
     n: usize,
     /// Interior links of flow `i` via class `c`, flattened (CSR).
     links: Vec<LinkId>,
@@ -70,7 +71,7 @@ struct RouteView {
 }
 
 impl RouteView {
-    fn new<F: Fabric>(fabric: &F, flows: &[Flow]) -> RouteView {
+    pub(crate) fn new<F: Fabric>(fabric: &F, flows: &[Flow]) -> RouteView {
         let n = fabric.class_count();
         let mut links = Vec::with_capacity(flows.len() * n * 2);
         let mut offsets = Vec::with_capacity(flows.len() * n + 1);
@@ -290,13 +291,12 @@ pub fn host_limited_demands<F: Fabric>(fabric: &F, flows: &[Flow]) -> Vec<Ration
         .map(|l| (l.id(), clos_net::Capacity::Infinite))
         .collect();
     let lifted = fabric.with_capacities(&overlay);
-    let routing: Routing = flows.iter().map(|&f| lifted.path_via_class(f, 0)).collect();
-    match clos_fairness::max_min_fair::<Rational>(lifted.network(), flows, &routing) {
-        Ok(allocation) => allocation.rates().to_vec(),
-        // Host access links keep their finite capacities, so every flow
-        // crosses a finite link and the water-filling terminates.
-        Err(_) => unreachable!("host access links are finite"),
-    }
+    // Host access links keep their finite capacities, so every flow
+    // crosses a finite link and the water-filling terminates.
+    crate::RoutedAllocation::from_assignment(&lifted, flows, &vec![0; flows.len()])
+        .allocation
+        .rates()
+        .to_vec()
 }
 
 /// Greedy congestion-aware routing: flows in decreasing-demand order, each
@@ -312,7 +312,11 @@ impl GreedyRouter {
         GreedyRouter
     }
 
-    fn assignment(view: &mut RouteView, demands: &[Rational], flows: &[Flow]) -> Vec<usize> {
+    pub(crate) fn assignment(
+        view: &mut RouteView,
+        demands: &[Rational],
+        flows: &[Flow],
+    ) -> Vec<usize> {
         let n = view.n;
         let mut order: Vec<usize> = (0..flows.len()).collect();
         order.sort_by(|&a, &b| demands[b].cmp(&demands[a]).then(a.cmp(&b)));
@@ -341,11 +345,7 @@ impl<F: Fabric> Router<F> for GreedyRouter {
     fn route(&mut self, fabric: &F, demands: &[Rational], flows: &[Flow]) -> Routing {
         let mut view = RouteView::new(fabric, flows);
         let assignment = GreedyRouter::assignment(&mut view, demands, flows);
-        flows
-            .iter()
-            .zip(&assignment)
-            .map(|(&f, &c)| fabric.path_via_class(f, c))
-            .collect()
+        assignment_routing(fabric, flows, &assignment)
     }
 }
 
@@ -425,11 +425,7 @@ impl<F: Fabric> Router<F> for LocalSearchRouter {
             }
         }
 
-        flows
-            .iter()
-            .zip(&assignment)
-            .map(|(&f, &c)| fabric.path_via_class(f, c))
-            .collect()
+        assignment_routing(fabric, flows, &assignment)
     }
 }
 
@@ -474,11 +470,7 @@ impl<F: Fabric> Router<F> for FirstFitRouter {
             view.place(i, chosen, demand);
             assignment[i] = chosen;
         }
-        flows
-            .iter()
-            .zip(&assignment)
-            .map(|(&f, &c)| fabric.path_via_class(f, c))
-            .collect()
+        assignment_routing(fabric, flows, &assignment)
     }
 }
 
@@ -528,11 +520,7 @@ impl<F: Fabric> Router<F> for AnnealingRouter {
         let mut delta = Vec::new();
 
         if flows.is_empty() || n < 2 {
-            return flows
-                .iter()
-                .zip(&assignment)
-                .map(|(&f, &c)| fabric.path_via_class(f, c))
-                .collect();
+            return assignment_routing(fabric, flows, &assignment);
         }
         for step in 0..self.iterations {
             let i = rng.gen_range(0..flows.len());
@@ -564,11 +552,7 @@ impl<F: Fabric> Router<F> for AnnealingRouter {
                 }
             }
         }
-        flows
-            .iter()
-            .zip(&best)
-            .map(|(&f, &c)| fabric.path_via_class(f, c))
-            .collect()
+        assignment_routing(fabric, flows, &best)
     }
 }
 
@@ -630,13 +614,7 @@ pub fn route_and_allocate(
     } else {
         Vec::new()
     };
-    let routing = router.route(clos, &demands, flows);
-    let allocation = clos_fairness::max_min_fair::<Rational>(clos.network(), flows, &routing)
-        .expect("Clos links are finite");
-    crate::RoutedAllocation {
-        routing,
-        allocation,
-    }
+    crate::RoutedAllocation::new(clos, flows, router.route(clos, &demands, flows))
 }
 
 #[cfg(test)]

@@ -114,13 +114,14 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Barrier;
 
-use clos_fairness::{max_min_fair, Allocation, SortedRates};
-use clos_net::{ClosNetwork, Fabric, Flow, LinkId, Routing};
+use clos_fairness::{Allocation, SortedRates};
+use clos_net::{ClosNetwork, Fabric, Flow, LinkId};
 use clos_rational::Rational;
 use clos_telemetry::counters;
 
 use crate::compiled::{CompiledInstance, EvalScratch};
 use crate::objectives::{SampledBranch, SearchProfile, SearchStats};
+use crate::RoutedAllocation;
 
 /// Target number of prefix blocks for the parallel decomposition.
 ///
@@ -372,32 +373,14 @@ impl<'a, F: Fabric> Problem<'a, F> {
         self.compiled.evaluate(scratch, assignment);
     }
 
-    /// Builds the routing selecting `assignment[i]` as flow `i`'s class;
-    /// `assignment` may cover just a prefix of the flow collection.
-    #[must_use]
-    pub fn partial_routing(&self, assignment: &[usize]) -> Routing {
-        Routing::new(
-            assignment
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| self.fabric.path_via_class(self.flows[i], c))
-                .collect(),
-        )
-    }
-
     /// Max-min fair allocation of the *prefix* flows routed by
     /// `assignment`, ignoring the unassigned remainder — the allocating
     /// reference path ([`Self::evaluate`] is the equivalent compiled
     /// one), kept for bound-admissibility tests and one-shot callers.
     #[must_use]
     pub fn prefix_allocation(&self, assignment: &[usize]) -> Allocation<Rational> {
-        let routing = self.partial_routing(assignment);
-        max_min_fair::<Rational>(
-            self.fabric.network(),
-            &self.flows[..assignment.len()],
-            &routing,
-        )
-        .expect("fabric links are finite")
+        let prefix = &self.flows[..assignment.len()];
+        RoutedAllocation::from_assignment(self.fabric, prefix, assignment).allocation
     }
 
     /// Admissible upper bound on the *total throughput* of any completion
@@ -617,7 +600,7 @@ impl<F: Fabric> Objective<F> for LexMaxMin {
     }
 
     /// The sorted per-flow rate caps: the prefix bound of the empty
-    /// prefix, taken once per search whatever [`lex_bound_worthwhile`]
+    /// prefix, taken once per search whatever `lex_bound_worthwhile`
     /// says (it gates the per-prefix water-filling, which the root does
     /// not need).
     fn root_bound(
