@@ -30,9 +30,10 @@
 use clos_churn::LocalReroute;
 use clos_core::doom_switch::doom_switch_assignment;
 use clos_core::objectives::{search_lex_max_min, search_throughput_max_min};
+use clos_core::search::{run_search, LexMaxMin, SearchConfig, ThroughputMaxMin};
 use clos_core::RoutedAllocation;
 use clos_fairness::Allocation;
-use clos_net::{ClosNetwork, FailureSchedule, Flow, LinkId, MacroSwitch, Routing};
+use clos_net::{ClosNetwork, FailureSchedule, Flow, LinkId, MacroSwitch};
 use clos_rational::Rational;
 
 use crate::table::Table;
@@ -140,18 +141,6 @@ fn starved(alloc: &Allocation<Rational>) -> usize {
     alloc.rates().iter().filter(|r| r.is_zero()).count()
 }
 
-/// Extracts the middle-switch assignment behind a searched routing.
-fn assignment_of(clos: &ClosNetwork, routing: &Routing) -> Vec<usize> {
-    routing
-        .paths()
-        .iter()
-        .map(|p| {
-            clos.middle_of_path(p)
-                .expect("searched routings go through the fabric")
-        })
-        .collect()
-}
-
 /// Runs the failure experiment: each `C_n` gets `2n` fixed flows and a
 /// seeded failure schedule of `steps` events; after every event the
 /// stale routings are locally repaired and the optima recomputed.
@@ -164,10 +153,10 @@ pub fn run(ns: &[usize], steps: usize) -> Vec<Row> {
         let flows = fixed_flows(&clos, 2 * n);
         let schedule = FailureSchedule::random(&clos, 0xe14 + n as u64, steps);
 
-        let (lex0, _) = search_lex_max_min(&clos, &flows);
-        let (tput0, _) = search_throughput_max_min(&clos, &flows);
-        let mut lex_asn = assignment_of(&clos, &lex0.routing);
-        let mut tput_asn = assignment_of(&clos, &tput0.routing);
+        // Only the winning assignments are needed here, not their rates.
+        let (mut lex_asn, _) = run_search(&clos, &flows, &LexMaxMin, SearchConfig::default());
+        let (mut tput_asn, _) =
+            run_search(&clos, &flows, &ThroughputMaxMin, SearchConfig::default());
         let mut doom_asn = doom_switch_assignment(&clos, &ms, &flows);
         let mut policy = LocalReroute::new(0x5eed + n as u64);
 

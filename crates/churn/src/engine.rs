@@ -23,10 +23,13 @@
 //!
 //! Flows on one path cross exactly the same links, so water-filling
 //! cannot tell them apart: they freeze in the same round, on the same
-//! first saturating link, at the same level. The multiplicity-aware run
-//! still adds that level to each link's frozen load once per flow, and
-//! all adds of a round are equal, so its arithmetic is the arithmetic of
-//! a per-flow run. Rates and bottlenecks are therefore **bit-identical**
+//! first saturating link, at the same level. A per-flow run then adds
+//! that level to each link's frozen load once per flow; the
+//! multiplicity-aware run counts those adds per link and makes them in
+//! one [`Scalar::add_repeated`] call, which returns exactly the chain of
+//! single adds. Its arithmetic is the arithmetic of a per-flow run,
+//! while a round costs one operation per touched link rather than one
+//! per live flow. Rates and bottlenecks are therefore **bit-identical**
 //! (in both exact-rational and `TotalF64` modes) to a fresh full run over
 //! the live flows, whatever the order of the live-path list, and the
 //! engine's [`levels`](ChurnEngine::levels) equal the fresh run's up to
@@ -500,28 +503,34 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         }
         self.dirty_list.clear();
 
-        self.scratch.begin();
-        for &path in &self.live_paths {
-            let p = &self.paths[path as usize];
-            self.scratch.push_flows(
-                &self.path_links[p.start as usize..p.end as usize],
-                p.live as usize,
-            );
+        {
+            let _push = clos_telemetry::span("churn.push");
+            self.scratch.begin();
+            for &path in &self.live_paths {
+                let p = &self.paths[path as usize];
+                self.scratch.push_flows(
+                    &self.path_links[p.start as usize..p.end as usize],
+                    p.live as usize,
+                );
+            }
         }
         self.instance.run(&mut self.scratch);
-        let rates = self.scratch.rates();
-        let bottlenecks = self.scratch.bottlenecks();
-        for (i, &path) in self.live_paths.iter().enumerate() {
-            let p = &mut self.paths[path as usize];
-            p.rate = rates[i];
-            p.bottleneck = bottlenecks[i] as u32;
+        {
+            let _write_back = clos_telemetry::span("churn.write_back");
+            let rates = self.scratch.rates();
+            let bottlenecks = self.scratch.bottlenecks();
+            for (i, &path) in self.live_paths.iter().enumerate() {
+                let p = &mut self.paths[path as usize];
+                p.rate = rates[i];
+                p.bottleneck = bottlenecks[i] as u32;
+            }
+            // Every other live slot already shows its current path.
+            for &slot in &self.touched {
+                let s = &mut self.slots[slot as usize];
+                s.shown = s.path;
+            }
+            self.touched.clear();
         }
-        // Every other live slot already shows its current path.
-        for &slot in &self.touched {
-            let s = &mut self.slots[slot as usize];
-            s.shown = s.path;
-        }
-        self.touched.clear();
 
         counters::CHURN_RECOMPUTED_FLOWS.add(self.live as u64);
         counters::CHURN_RECOMPUTED_PATHS.add(self.live_paths.len() as u64);
@@ -529,6 +538,7 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         self.stats.recomputed_paths += self.live_paths.len() as u64;
 
         if self.cfg.verify {
+            let _verify = clos_telemetry::span("churn.verify");
             self.check_against_oracle();
         }
     }

@@ -3,10 +3,11 @@
 //! modes, at every batch size.
 
 use clos_churn::{
-    ChurnConfig, ChurnEngine, OnlinePolicy, Pattern, SizeDist, TraceConfig, TraceGenerator,
+    ChurnConfig, ChurnEngine, FlowEvent, OnlinePolicy, Pattern, SizeDist, TraceConfig,
+    TraceGenerator,
 };
 use clos_fairness::{WaterfillInstance, WaterfillScratch};
-use clos_net::ClosNetwork;
+use clos_net::{ClosNetwork, Flow};
 use clos_rational::{Rational, Scalar, TotalF64};
 use proptest::prelude::*;
 
@@ -161,4 +162,53 @@ proptest! {
         let rates_b: Vec<(u64, TotalF64)> = b.live_flows().collect();
         prop_assert_eq!(rates_a, rates_b);
     }
+}
+
+/// Drives a `C_2` engine with `verify` on through a crowded trace: 240
+/// flows between one host pair, split by first fit over the two middles,
+/// beside 60 flows that share their ToR links, then departures. Each
+/// path carries over 64 live flows, so an epoch's counted frozen-load
+/// adds on a link are in the hundreds and `TotalF64`'s `add_repeated`
+/// jumps over binades; the per-flow oracle must agree at every epoch.
+fn crowded_path<S: Scalar + std::fmt::Debug>() {
+    let clos = ClosNetwork::standard(2);
+    let mut engine = ChurnEngine::<S>::new(
+        clos.clone(),
+        OnlinePolicy::first_fit(),
+        ChurnConfig {
+            batch: 32,
+            verify: true,
+        },
+    );
+    let hot = Flow::new(clos.source(0, 0), clos.destination(2, 0));
+    let mut key = 0u64;
+    for _ in 0..240 {
+        engine.apply(FlowEvent::Arrive { key, flow: hot });
+        key += 1;
+    }
+    for i in 0..60 {
+        let flow = Flow::new(clos.source(i % 2, 1), clos.destination(2 + i % 2, 1));
+        engine.apply(FlowEvent::Arrive { key, flow });
+        key += 1;
+    }
+    engine.flush();
+    let mut per_class = [0usize; 2];
+    for k in 0..240 {
+        per_class[engine.class_of(k).expect("hot flow is live")] += 1;
+    }
+    assert!(per_class.iter().all(|&c| c >= 64), "{per_class:?}");
+    assert_matches_fresh_run(&engine);
+    for k in (0..key).step_by(3) {
+        engine.apply(FlowEvent::Depart { key: k });
+    }
+    engine.flush();
+    assert_matches_fresh_run(&engine);
+    assert_eq!(engine.live(), 200);
+}
+
+/// A path with far more than 64 live flows, in both scalars.
+#[test]
+fn crowded_path_matches_oracle_in_both_scalars() {
+    crowded_path::<Rational>();
+    crowded_path::<TotalF64>();
 }

@@ -29,11 +29,12 @@
 //! every link's saturation level, refreshing it right after a round's
 //! update pass touches the link. One scan then finds the minimum level and
 //! the links at it, in ascending order, and the round freezes from that
-//! list. Bottleneck order, the adds, and the divisions are those of
-//! textbook progressive filling — every round recomputes every level and
-//! makes two full passes in link order — so rates, levels, and bottlenecks
-//! are bit-identical to it in every scalar mode. The `compiled_equivalence`
-//! test suite checks that against a plain reference implementation.
+//! list. Bottleneck order, the frozen-load sums (counted, see below), and
+//! the divisions are those of textbook progressive filling — every round
+//! recomputes every level and makes two full passes in link order — so
+//! rates, levels, and bottlenecks are bit-identical to it in every scalar
+//! mode. The `compiled_equivalence` test suite checks that against a
+//! plain reference implementation.
 //!
 //! # Multiplicities
 //!
@@ -41,12 +42,15 @@
 //! as a single entry. Identical flows are members of exactly the same
 //! links, so they freeze in the same round, on the same first saturating
 //! link, at the same level. The run therefore counts the entry `m` times
-//! in every link's active count and, when it freezes, adds the round's
-//! level to each link's frozen load `m` times — every add in a round is
-//! the same value, so the sum does not depend on how the adds are
-//! grouped or ordered. Rates, levels, and bottlenecks are bit-identical
-//! to pushing the `m` flows one by one, in any order, in every scalar
-//! mode.
+//! in every link's active count. Textbook filling then adds the round's
+//! level to a link's frozen load once per flow that froze across it; all
+//! those adds are the same value, so only their number matters. The
+//! update pass counts them per link, and the refresh makes them in one
+//! [`Scalar::add_repeated`] call, which returns exactly what the chain of
+//! single adds would. A round therefore costs one operation per touched
+//! link, not per frozen flow. Rates, levels, and bottlenecks are
+//! bit-identical to pushing the `m` flows one by one, in any order, in
+//! every scalar mode.
 //!
 //! # Weights
 //!
@@ -54,7 +58,8 @@
 //! ([`max_min_fair_weighted`]). A link's level is then its residual
 //! capacity divided by the summed weights of its unfrozen flows; an entry
 //! freezes at rate `w · level`, added once to each of its links' frozen
-//! load. Without weighted entries the weight vector stays empty and the
+//! load in the update pass, since those adds differ from flow to flow.
+//! Without weighted entries the weight vector stays empty and the
 //! unweighted arithmetic runs unchanged; a multiplicity-`m` entry in a
 //! weighted run counts as `m` flows of unit weight.
 //!
@@ -295,6 +300,8 @@ impl<S: Scalar> WaterfillInstance<S> {
         s.frozen.resize(flows, false);
         s.frozen_load.clear();
         s.frozen_load.resize(links, S::zero());
+        s.frozen_adds.clear();
+        s.frozen_adds.resize(links, 0);
         s.bottleneck_of.clear();
         s.bottleneck_of.resize(flows, 0);
         s.levels.clear();
@@ -369,19 +376,19 @@ impl<S: Scalar> WaterfillInstance<S> {
             for i in 0..s.newly_frozen.len() {
                 let f = s.newly_frozen[i];
                 let m = if multiplied { s.multiplicity[f] } else { 1 };
-                let rate = s.rates[f];
                 for k in s.flow_starts[f]..s.flow_starts[f + 1] {
                     let d = s.flow_links[k];
                     s.active_count[d] -= m;
-                    // One add per flow, never `rate * m`: the repeated
-                    // sum is what `m` separate entries would compute.
-                    for _ in 0..m {
-                        s.frozen_load[d] += rate;
-                    }
+                    // Unweighted, every add of the round is `level`: count
+                    // them, and the refresh below adds them in one call.
+                    // Weighted rates differ per flow, so add them here.
                     if weighted {
                         for _ in 0..m {
+                            s.frozen_load[d] += s.rates[f];
                             s.active_weight[d] -= s.weights[f];
                         }
+                    } else {
+                        s.frozen_adds[d] += m;
                     }
                     if !s.stale[d] {
                         s.stale[d] = true;
@@ -390,13 +397,17 @@ impl<S: Scalar> WaterfillInstance<S> {
                 }
                 remaining -= 1;
             }
-            // Refresh the touched links' levels; drop emptied links from
-            // the active list (in place, keeping it ascending).
+            // Commit the counted adds and refresh the touched links'
+            // levels; drop emptied links from the active list (in place,
+            // keeping it ascending). An emptied link's load is never
+            // read again, so its last adds are skipped.
             let mut emptied = false;
             for i in 0..s.touched.len() {
                 let d = s.touched[i];
                 s.stale[d] = false;
                 if s.active_count[d] > 0 {
+                    let adds = std::mem::take(&mut s.frozen_adds[d]);
+                    s.frozen_load[d] = s.frozen_load[d].add_repeated(level, adds);
                     s.link_level[d] = self.level(s, d, weighted);
                 } else {
                     emptied = true;
@@ -460,8 +471,12 @@ pub struct WaterfillScratch<S> {
     active_count: Vec<usize>,
     /// Per-link summed weight of unfrozen member flows (weighted runs).
     active_weight: Vec<S>,
-    /// Per-link load already committed by frozen flows.
+    /// Per-link load already committed by frozen flows (as of the
+    /// last refresh; an emptied link's stops there).
     frozen_load: Vec<S>,
+    /// Per-link count of `level` adds the current round's update pass
+    /// owes `frozen_load` (unweighted runs).
+    frozen_adds: Vec<usize>,
     /// Cached per-link saturation level of every active link.
     link_level: Vec<S>,
     /// Per-link flag: the current round's update pass touched the link
@@ -499,6 +514,7 @@ impl<S: Scalar> WaterfillScratch<S> {
             active_count: Vec::new(),
             active_weight: Vec::new(),
             frozen_load: Vec::new(),
+            frozen_adds: Vec::new(),
             link_level: Vec::new(),
             stale: Vec::new(),
             active_links: Vec::new(),

@@ -240,11 +240,13 @@ fn assert_multiplicity_exact<S: Scalar>(clos: &ClosNetwork, entries: &[Entry], o
 }
 
 /// Random entries on `C_n`, each `(src_tor, src_host, dst_tor, dst_host,
-/// middle, multiplicity, sort key)`; the sort keys define a permutation
-/// of the push order.
+/// middle, multiplicity, sort key)` with multiplicities up to
+/// `max_multiplicity`; the sort keys define a permutation of the push
+/// order.
 fn weighted_entries(
     n: usize,
     max_entries: usize,
+    max_multiplicity: usize,
 ) -> impl Strategy<Value = Vec<(usize, usize, usize, usize, usize, usize, u64)>> {
     let entry = (
         0..2 * n,
@@ -252,7 +254,7 @@ fn weighted_entries(
         0..2 * n,
         0..n,
         0..n,
-        1..=6usize,
+        1..=max_multiplicity,
         any::<u64>(),
     );
     prop::collection::vec(entry, 1..=max_entries)
@@ -289,7 +291,24 @@ proptest! {
     /// scalars, and results do not depend on push order (the churn
     /// engine's live-path list is unordered).
     #[test]
-    fn multiplicity_equals_copies_in_any_order(raw in weighted_entries(3, 10)) {
+    fn multiplicity_equals_copies_in_any_order(raw in weighted_entries(3, 10, 6)) {
+        let clos = ClosNetwork::standard(3);
+        let (entries, order) = entries_and_order(&clos, &raw);
+        assert_multiplicity_exact::<Rational>(&clos, &entries, &order);
+        assert_multiplicity_exact::<TotalF64>(&clos, &entries, &order);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Multiplicities in the thousands: one round's counted frozen-load
+    /// adds on a link run far past the point where `TotalF64`'s
+    /// `add_repeated` starts jumping over binades, and still equal the
+    /// per-flow adds of separate copies, in any push order, in both
+    /// scalars.
+    #[test]
+    fn large_multiplicities_equal_copies(raw in weighted_entries(3, 6, 3000)) {
         let clos = ClosNetwork::standard(3);
         let (entries, order) = entries_and_order(&clos, &raw);
         assert_multiplicity_exact::<Rational>(&clos, &entries, &order);
@@ -336,7 +355,7 @@ proptest! {
     /// Weight-one entries are plain entries: rates, levels, and
     /// bottlenecks are bit-identical in both scalars.
     #[test]
-    fn unit_weights_equal_plain_entries(raw in weighted_entries(3, 10)) {
+    fn unit_weights_equal_plain_entries(raw in weighted_entries(3, 10, 6)) {
         let clos = ClosNetwork::standard(3);
         let (entries, _) = entries_and_order(&clos, &raw);
         assert_unit_weights_exact::<Rational>(&clos, &entries);
@@ -348,7 +367,7 @@ proptest! {
     /// exactly `k` times the rate of a multiplicity-`k` entry (whose rate
     /// is per flow) — also when both kinds share one description.
     #[test]
-    fn integer_weight_is_multiplicity_times_rate(raw in weighted_entries(3, 10)) {
+    fn integer_weight_is_multiplicity_times_rate(raw in weighted_entries(3, 10, 6)) {
         let clos = ClosNetwork::standard(3);
         let (entries, _) = entries_and_order(&clos, &raw);
         let instance = WaterfillInstance::<Rational>::compile(clos.network());
@@ -505,15 +524,19 @@ fn compiled_fill<S: Scalar>(
 type RawEntry = (usize, usize, usize, usize, usize, usize, u64, u64);
 
 /// Random entries on `C_n`; five in eight weighted (weight 1/3 to 5),
-/// the rest unweighted with multiplicity 1 to 4.
-fn reference_entries(n: usize, max_entries: usize) -> impl Strategy<Value = Vec<RawEntry>> {
+/// the rest unweighted with multiplicity 1 to `max_multiplicity`.
+fn reference_entries(
+    n: usize,
+    max_entries: usize,
+    max_multiplicity: usize,
+) -> impl Strategy<Value = Vec<RawEntry>> {
     let entry = (
         0..2 * n,
         0..n,
         0..2 * n,
         0..n,
         0..n,
-        1..=4usize,
+        1..=max_multiplicity,
         (0..=7u64).prop_map(|x| x.saturating_sub(2)),
         1..=3u64,
     );
@@ -584,7 +607,25 @@ proptest! {
     /// drawn from {0, 1/2, 1, 3/2, 2} (cycled over the links).
     #[test]
     fn compiled_run_equals_reference_fill(
-        raw in reference_entries(3, 12),
+        raw in reference_entries(3, 12, 4),
+        capacities in prop::collection::vec(0..=4u64, 1..=8),
+    ) {
+        let clos = ClosNetwork::standard(3);
+        assert_matches_reference::<Rational>(&clos, &capacities, &raw);
+        assert_matches_reference::<TotalF64>(&clos, &capacities, &raw);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The reference comparison with multiplicities up to 3000: the
+    /// compiled run's counted adds, committed once per link and round,
+    /// equal the reference's one add per flow bit for bit, in weighted
+    /// and unweighted runs and in both scalars.
+    #[test]
+    fn large_multiplicities_equal_reference_fill(
+        raw in reference_entries(3, 8, 3000),
         capacities in prop::collection::vec(0..=4u64, 1..=8),
     ) {
         let clos = ClosNetwork::standard(3);

@@ -83,6 +83,40 @@ pub trait Scalar:
     fn from_usize(n: usize) -> Self {
         Self::from_ratio(n as u64, 1)
     }
+
+    /// Returns `self` after `k` sequential additions of `x`, bit for bit
+    /// the value of `for _ in 0..k { acc += x }` starting from `self`.
+    ///
+    /// The default body is that loop, so a wrapper type that counts its
+    /// operations sees every add. [`Rational`] computes `self + x · k`,
+    /// which is exact; [`TotalF64`] steps whole binades at once (see
+    /// its implementation), so the cost grows with the number of binades
+    /// crossed rather than with `k`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use clos_rational::{Rational, Scalar, TotalF64};
+    ///
+    /// let tenth = TotalF64::new(0.1);
+    /// let mut acc = TotalF64::ZERO;
+    /// for _ in 0..1000 {
+    ///     acc += tenth;
+    /// }
+    /// assert_eq!(TotalF64::ZERO.add_repeated(tenth, 1000), acc);
+    /// assert_eq!(
+    ///     Rational::ONE.add_repeated(Rational::new(1, 3), 6),
+    ///     Rational::from_integer(3)
+    /// );
+    /// ```
+    #[must_use]
+    fn add_repeated(self, x: Self, k: usize) -> Self {
+        let mut acc = self;
+        for _ in 0..k {
+            acc += x;
+        }
+        acc
+    }
 }
 
 impl Scalar for Rational {
@@ -114,6 +148,19 @@ impl Scalar for Rational {
     #[inline]
     fn is_zero(self) -> bool {
         Rational::is_zero(self)
+    }
+
+    /// Exact arithmetic makes the `k` adds one multiply and one add, and
+    /// canonical form makes the result identical to the loop's. The
+    /// counts a waterfill round passes most often, 0 (weighted runs) and
+    /// 1, skip the multiply.
+    #[inline]
+    fn add_repeated(self, x: Rational, k: usize) -> Rational {
+        match k {
+            0 => self,
+            1 => self + x,
+            _ => self + x * Rational::from(k),
+        }
     }
 }
 
@@ -147,6 +194,11 @@ impl Scalar for TotalF64 {
     #[inline]
     fn is_zero(self) -> bool {
         TotalF64::is_zero(self)
+    }
+
+    #[inline]
+    fn add_repeated(self, x: TotalF64, k: usize) -> TotalF64 {
+        TotalF64::new(crate::total_f64::add_repeated(self.get(), x.get(), k))
     }
 }
 

@@ -101,6 +101,76 @@ impl TotalF64 {
     }
 }
 
+/// Returns `acc` after `k` sequential round-to-nearest-even additions of
+/// `x`, bit for bit, with a cost that grows with the number of binades
+/// the sum crosses rather than with `k`.
+///
+/// Inside one binade `[2^e, 2^(e+1))` every float is a multiple of the
+/// binade's ulp `u`, and the parity of that multiple is the parity of
+/// the bit pattern. While a sum stays below the binade top, `a + x`
+/// therefore rounds to the multiple of `u` nearest the exact sum, ties to
+/// the even one, and translating `a` by an even number of ulps
+/// translates the rounded sum by the same number. So once two real steps
+/// `a1 -> a2 -> a3` stay in one binade and move up by an even number `d`
+/// of ulps, every further pair of steps moves up by exactly `d` ulps,
+/// until the pair would end at the binade top. The kernel jumps over
+/// those pairs with integer arithmetic on the bit patterns, then takes
+/// real steps into the next binade. An odd move (the first step of a
+/// tie) is followed by an even one, since a tie rounds to an even
+/// pattern. Zero, negative, and subnormal sums and short runs take real
+/// steps; a step that changes nothing ends the run.
+#[inline]
+pub(crate) fn add_repeated(mut acc: f64, x: f64, k: usize) -> f64 {
+    /// Below this many adds, probing for a jump costs more than it saves.
+    const MIN_JUMP: usize = 32;
+    // Most waterfill rounds add a level only once or twice per link:
+    // three unconditional adds and a select spare them a loop exit whose
+    // trip count the branch predictor cannot guess.
+    if k <= 3 {
+        let a1 = acc + x;
+        let a2 = a1 + x;
+        return [acc, a1, a2, a2 + x][k];
+    }
+    if k < MIN_JUMP || !x.is_finite() {
+        for _ in 0..k {
+            acc += x;
+        }
+        return acc;
+    }
+    add_repeated_by_binades(acc, x, k)
+}
+
+/// The jumping half of [`add_repeated`], kept out of line so that short
+/// runs inline as the plain loop.
+fn add_repeated_by_binades(mut acc: f64, x: f64, mut k: usize) -> f64 {
+    while k >= 2 {
+        let a1 = acc;
+        let a2 = a1 + x;
+        if a2.to_bits() == a1.to_bits() {
+            // A fixed point: every further add returns `a1` again.
+            return a1;
+        }
+        let a3 = a2 + x;
+        acc = a3;
+        k -= 2;
+        let (b1, b3) = (a1.to_bits(), a3.to_bits());
+        // `a1` is positive and normal, and `a3` shares its sign and
+        // exponent bits (so `a2`, between them, does too).
+        if a1 >= f64::MIN_POSITIVE && b1 >> 52 == b3 >> 52 && b3 > b1 && (b3 - b1) % 2 == 0 {
+            let d = b3 - b1;
+            let top = ((b1 >> 52) + 1) << 52;
+            // Each jumped pair must end at most one ulp below the top.
+            let pairs = ((top - 1 - b3) / d).min((k / 2) as u64);
+            acc = f64::from_bits(b3 + pairs * d);
+            k -= 2 * pairs as usize;
+        }
+    }
+    if k == 1 {
+        acc += x;
+    }
+    acc
+}
+
 impl Eq for TotalF64 {}
 
 impl PartialOrd for TotalF64 {
