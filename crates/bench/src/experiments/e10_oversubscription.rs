@@ -10,7 +10,8 @@
 //! middle-switch count grows from `h` (the paper's `C_n` proportions) to
 //! `2h − 1`.
 
-use clos_core::replication::{find_feasible_routing, first_fit_routing};
+use clos_core::replication::{find_feasible_routing_with, first_fit_routing};
+use clos_core::search::{map_rows, SearchConfig};
 use clos_fairness::max_min_fair;
 use clos_net::{ClosNetwork, ClosParams, Flow, MacroSwitch};
 use clos_rational::Rational;
@@ -44,7 +45,9 @@ impl Row {
 /// Runs the sweep on a fabric with `tor_pairs` ToRs per side and
 /// `hosts_per_tor` hosts, varying the middle-switch count from
 /// `hosts_per_tor` to `2·hosts_per_tor − 1`, with `trials` random uniform
-/// workloads per point.
+/// workloads per point. Each trial's search is a few dozen tiny blocks,
+/// so the trials are the rows that run on the `--threads` workers
+/// ([`map_rows`]), each searching on its own worker.
 ///
 /// # Panics
 ///
@@ -52,43 +55,53 @@ impl Row {
 #[must_use]
 pub fn run(tor_pairs: usize, hosts_per_tor: usize, trials: usize) -> Vec<Row> {
     assert!(tor_pairs >= 1 && hosts_per_tor >= 1 && trials >= 1);
-    let mut rows = Vec::new();
-    for middles in hosts_per_tor..=(2 * hosts_per_tor - 1) {
-        let params = ClosParams {
-            middle_switches: middles,
-            tor_pairs,
+    let fabrics: Vec<(ClosNetwork, MacroSwitch)> = (hosts_per_tor..=(2 * hosts_per_tor - 1))
+        .map(|middles| {
+            let params = ClosParams {
+                middle_switches: middles,
+                tor_pairs,
+                hosts_per_tor,
+                link_capacity: Rational::ONE,
+            };
+            (
+                ClosNetwork::with_params(params),
+                MacroSwitch::with_params(params),
+            )
+        })
+        .collect();
+    let hosts = tor_pairs * hosts_per_tor;
+    let cells: Vec<(usize, u64)> = (0..fabrics.len())
+        .flat_map(|point| (0..trials as u64).map(move |seed| (point, seed)))
+        .collect();
+    let one_worker = SearchConfig {
+        threads: Some(1),
+        ..SearchConfig::default()
+    };
+    // (exact search feasible, first fit feasible) per trial.
+    let outcomes = map_rows(&cells, |&(point, seed)| {
+        let (clos, ms) = &fabrics[point];
+        let flows: Vec<Flow> =
+            Workload::UniformRandom { flows: 2 * hosts }.generate(clos, 1000 + seed);
+        let ms_flows = ms.translate_flows(clos, &flows);
+        let ms_routing = ms.routing(&ms_flows);
+        let rates = max_min_fair::<Rational>(ms.network(), &ms_flows, &ms_routing)
+            .expect("host links finite");
+        (
+            find_feasible_routing_with(clos, &flows, rates.rates(), one_worker).is_some(),
+            first_fit_routing(clos, &flows, rates.rates()).is_some(),
+        )
+    });
+    fabrics
+        .iter()
+        .zip(outcomes.chunks(trials))
+        .map(|((clos, _), point)| Row {
             hosts_per_tor,
-            link_capacity: Rational::ONE,
-        };
-        let clos = ClosNetwork::with_params(params);
-        let ms = MacroSwitch::with_params(params);
-        let hosts = tor_pairs * hosts_per_tor;
-
-        let mut exact_feasible = 0;
-        let mut first_fit_feasible = 0;
-        for seed in 0..trials as u64 {
-            let flows: Vec<Flow> =
-                Workload::UniformRandom { flows: 2 * hosts }.generate(&clos, 1000 + seed);
-            let ms_flows = ms.translate_flows(&clos, &flows);
-            let ms_routing = ms.routing(&ms_flows);
-            let rates = max_min_fair::<Rational>(ms.network(), &ms_flows, &ms_routing)
-                .expect("host links finite");
-            if find_feasible_routing(&clos, &flows, rates.rates()).is_some() {
-                exact_feasible += 1;
-            }
-            if first_fit_routing(&clos, &flows, rates.rates()).is_some() {
-                first_fit_feasible += 1;
-            }
-        }
-        rows.push(Row {
-            hosts_per_tor,
-            middles,
+            middles: clos.middle_count(),
             trials,
-            exact_feasible,
-            first_fit_feasible,
-        });
-    }
-    rows
+            exact_feasible: point.iter().filter(|&&(exact, _)| exact).count(),
+            first_fit_feasible: point.iter().filter(|&&(_, first_fit)| first_fit).count(),
+        })
+        .collect()
 }
 
 /// Renders the E10 table.

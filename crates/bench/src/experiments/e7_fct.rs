@@ -22,7 +22,8 @@ pub struct Row {
 /// fixed-size flows (the regime where scheduling's benefit is cleanest)
 /// and the churn engine's greedy online path selection. The
 /// (load, transport) cells are independent and run on the `--threads`
-/// workers ([`map_rows`]), in load-major order.
+/// workers ([`map_rows`]), heaviest load first so the longest cells do
+/// not start last; rows come back in load-major order.
 #[must_use]
 pub fn run(n: usize, loads: &[f64], flow_count: usize, seed: u64) -> Vec<Row> {
     assert!(
@@ -35,19 +36,28 @@ pub fn run(n: usize, loads: &[f64], flow_count: usize, seed: u64) -> Vec<Row> {
         .iter()
         .flat_map(|&load| [Transport::FairSharing, Transport::Scheduling].map(|t| (load, t)))
         .collect();
-    map_rows(&cells, |&(load, transport)| {
+    let mut heaviest_first: Vec<usize> = (0..cells.len()).collect();
+    heaviest_first.sort_by(|&a, &b| cells[b].0.total_cmp(&cells[a].0));
+    let mut rows = map_rows(&heaviest_first, |&cell| {
+        let (load, transport) = cells[cell];
         let config = FctConfig {
             arrival_rate: load * hosts,
             size_dist: SizeDist::Fixed(1.0),
             flow_count,
             seed,
         };
-        Row {
-            load,
-            transport,
-            stats: simulate_fct(&clos, &config, transport),
-        }
-    })
+        let stats = simulate_fct(&clos, &config, transport);
+        (
+            cell,
+            Row {
+                load,
+                transport,
+                stats,
+            },
+        )
+    });
+    rows.sort_unstable_by_key(|&(cell, _)| cell);
+    rows.into_iter().map(|(_, row)| row).collect()
 }
 
 /// Renders the E7 table.

@@ -12,12 +12,22 @@
 //! An unsplittable flow's links are fixed by its endpoints and its
 //! routing class, so the engine interns each (source, destination,
 //! class) triple into a *path* at apply time, and a flow's slot records
-//! only its path id. A path carries a live multiplicity: the number of
-//! live flows on it. A fabric has far fewer paths than a busy trace has
+//! only its path id. Endpoint pairs index a dense table of first path
+//! ids (sources × destinations), and a pair's paths take consecutive ids
+//! in class order. A fabric has far fewer paths than a busy trace has
 //! live flows (C_4 has 32 × 32 × 4 = 4,096 paths against ~10⁵ live
-//! flows), so an epoch hands the waterfill one entry per live path,
-//! weighted by its multiplicity ([`WaterfillScratch::push_flows`]), and
-//! writes each result back once per path.
+//! flows), so the waterfill gets one entry per path, weighted by its
+//! live multiplicity: the number of live flows on it.
+//!
+//! The engine keeps one waterfill description for its whole life, and
+//! entry `p` is path `p`. Interning pushes a path's entry without flows
+//! ([`WaterfillScratch::push_flows`] at multiplicity zero), and every
+//! arrival, departure, or reroute moves one entry's multiplicity
+//! ([`WaterfillScratch::set_multiplicity`]), which keeps the links'
+//! member lists and flow counts current. Those per-link flow counts are
+//! also the live-flow counts the policy reads. An epoch is then one run
+//! over the description as it stands: no per-epoch push or rebuild, and
+//! no work for paths without live flows.
 //!
 //! # Bit-identical to a per-flow recompute
 //!
@@ -29,9 +39,12 @@
 //! one [`Scalar::add_repeated`] call, which returns exactly the chain of
 //! single adds. Its arithmetic is the arithmetic of a per-flow run,
 //! while a round costs one operation per touched link rather than one
-//! per live flow. Rates and bottlenecks are therefore **bit-identical**
+//! per live flow. Nor does the order of the member lists, which departures
+//! and reroutes reshuffle, change any result of an unweighted run (see
+//! the `clos_fairness` compiled module docs). Rates and bottlenecks are
+//! therefore **bit-identical**
 //! (in both exact-rational and `TotalF64` modes) to a fresh full run over
-//! the live flows, whatever the order of the live-path list, and the
+//! the live flows, and the
 //! engine's [`levels`](ChurnEngine::levels) equal the fresh run's up to
 //! the sorted-dedup normalization described on that method. The `verify`
 //! flag of [`ChurnConfig`] asserts exactly that against a per-flow
@@ -46,6 +59,10 @@
 //! bottleneck of the path it was on at the last flush. Each slot
 //! therefore records the path it reports next to its current path, and a
 //! flush refreshes only the slots touched since the previous flush.
+//! Rates and bottlenecks are read in place from the waterfill's result
+//! slices at the path's entry: a run writes only the entries it fills,
+//! so a path that lost its last flow since the flush still holds the
+//! values its former flows report until the next one.
 //!
 //! Because routing, slot assignment, and path bookkeeping all happen at
 //! *apply* time (they are pure functions of the event prefix), the
@@ -55,7 +72,7 @@
 //! checkpoint (CI byte-diffs published epochs at two batch sizes).
 //!
 //! Nothing here assumes the Clos shape: paths may have any length (the
-//! path table keeps every path's links in one flat array), and
+//! waterfill description keeps every path's links in one flat array), and
 //! congestion bookkeeping is a live-flow count per dense link rather
 //! than per (ToR, middle) pair. On a Clos fabric the
 //! interior of a path is exactly its uplink and downlink, so the
@@ -64,11 +81,8 @@
 //!
 //! [`flush`]: ChurnEngine::flush
 
-use std::collections::BTreeMap;
-use std::ops::Range;
-
 use clos_fairness::{WaterfillInstance, WaterfillScratch};
-use clos_net::{CapacityMap, ClosNetwork, Fabric, Flow, LinkId, NodeId};
+use clos_net::{CapacityMap, ClosNetwork, Fabric, Flow, LinkId, NodeKind};
 use clos_rational::{Rational, Scalar};
 use clos_telemetry::{counters, timers};
 
@@ -80,6 +94,8 @@ use crate::reroute::{LocalReroute, RerouteOutcome};
 const NO_SLOT: u32 = u32::MAX;
 /// Sentinel path id of a free slot.
 const NO_PATH: u32 = u32::MAX;
+/// Sentinel host rank of a switch.
+const NO_RANK: u32 = u32::MAX;
 
 /// Engine configuration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -146,23 +162,13 @@ pub struct RecomputeStats {
 
 /// One interned path: a source/destination pair routed via one class.
 /// Every live flow on it crosses the same links, so they share one
-/// waterfill entry and one published allocation.
+/// waterfill entry (the entry with the path's id, which holds its links,
+/// its live multiplicity, and its published rate and bottleneck).
 #[derive(Clone, Debug)]
-struct PathClass<S> {
+struct PathClass {
     flow: Flow,
     /// Routing class (on Clos, the middle-switch index).
     class: u32,
-    /// `path_links[start..end]` are the path's dense links.
-    start: u32,
-    end: u32,
-    /// Live flows on the path.
-    live: u32,
-    /// Position in the live-path list while `live > 0`.
-    live_pos: u32,
-    /// Max-min rate of each of its flows as of the last flush.
-    rate: S,
-    /// Bottleneck link (dense index) as of the last flush.
-    bottleneck: u32,
 }
 
 /// One flow's bookkeeping (slots are reused through a free list after
@@ -210,15 +216,17 @@ pub struct ChurnEngine<S, F: Fabric = ClosNetwork> {
     capacity: Rational,
     classes: usize,
 
-    /// Endpoint pair → id of its first path; the pair's `classes` paths
-    /// take consecutive ids in class order.
-    path_of: BTreeMap<(NodeId, NodeId), u32>,
-    paths: Vec<PathClass<S>>,
-    /// Dense link indices of every path, concatenated.
-    path_links: Vec<usize>,
-    /// Ids of the paths with live flows (order maintained by
-    /// swap-remove, deterministic in the event prefix).
-    live_paths: Vec<u32>,
+    /// Node index → rank among the fabric's sources, or among its
+    /// destinations (`NO_RANK` for switches).
+    host_rank: Vec<u32>,
+    /// Number of destinations (the row length of `path_of`).
+    destinations: usize,
+    /// Endpoint pair (source rank × `destinations` + destination rank)
+    /// → id of its first path, or `NO_PATH` before the pair's first
+    /// arrival; the pair's `classes` paths take consecutive ids in class
+    /// order.
+    path_of: Vec<u32>,
+    paths: Vec<PathClass>,
 
     slots: Vec<Slot>,
     free: Vec<u32>,
@@ -227,9 +235,6 @@ pub struct ChurnEngine<S, F: Fabric = ClosNetwork> {
     slot_of_key: Vec<u32>,
     /// Slots that arrived or moved since the last flush.
     touched: Vec<u32>,
-    /// Live-flow count per dense link (every link of a live flow's
-    /// path counts; the policy reads interior links only).
-    live_count: Vec<u32>,
     live: usize,
 
     /// Links changed since the last flush; a flush with none is a no-op.
@@ -237,10 +242,14 @@ pub struct ChurnEngine<S, F: Fabric = ClosNetwork> {
     dirty_list: Vec<usize>,
     pending: usize,
 
+    /// The waterfill description: entry `p` is path `p`, at its live
+    /// multiplicity, so its per-link flow counts are the live-flow
+    /// counts the policy reads.
     scratch: WaterfillScratch<S>,
     oracle_scratch: WaterfillScratch<S>,
     // Apply-time work buffers, reused across events.
     path_buf: Vec<LinkId>,
+    dense_buf: Vec<usize>,
     class_loads: Vec<u32>,
 
     stats: RecomputeStats,
@@ -257,21 +266,29 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         assert!(cfg.batch >= 1, "batch size must be at least 1");
         let instance = WaterfillInstance::<S>::compile(fabric.network());
         let links = instance.link_count();
+        let net = fabric.network();
+        let mut host_rank = vec![NO_RANK; net.node_count()];
+        let sources = net.nodes_of_kind(NodeKind::Source);
+        let destinations = net.nodes_of_kind(NodeKind::Destination);
+        for ends in [&sources, &destinations] {
+            for (rank, node) in ends.iter().enumerate() {
+                host_rank[node.index()] = rank as u32;
+            }
+        }
         ChurnEngine {
             capacity: fabric.nominal_capacity(),
             classes: fabric.class_count(),
             instance,
             policy,
             cfg,
-            path_of: BTreeMap::new(),
+            host_rank,
+            destinations: destinations.len(),
+            path_of: vec![NO_PATH; sources.len() * destinations.len()],
             paths: Vec::new(),
-            path_links: Vec::new(),
-            live_paths: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
             slot_of_key: Vec::new(),
             touched: Vec::new(),
-            live_count: vec![0; links],
             live: 0,
             dirty: vec![false; links],
             dirty_list: Vec::new(),
@@ -279,6 +296,7 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             scratch: WaterfillScratch::new(),
             oracle_scratch: WaterfillScratch::new(),
             path_buf: Vec::new(),
+            dense_buf: Vec::new(),
             class_loads: Vec::new(),
             stats: RecomputeStats::default(),
             fabric,
@@ -306,22 +324,31 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         }
     }
 
-    /// Range of `path`'s dense links in `path_links`.
-    fn span(&self, path: u32) -> Range<usize> {
-        let p = &self.paths[path as usize];
-        p.start as usize..p.end as usize
-    }
-
     /// Dense link indices of `path`.
     fn links_of(&self, path: u32) -> &[usize] {
-        &self.path_links[self.span(path)]
+        self.scratch.entry_links(path as usize)
     }
 
     /// Id of the first of `flow`'s paths (one per routing class, at
-    /// consecutive ids), interning them on the pair's first arrival.
+    /// consecutive ids), interning them on the pair's first arrival as
+    /// waterfill entries without flows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the flow's endpoints are not a source and a destination
+    /// of the fabric.
     fn intern(&mut self, flow: Flow) -> u32 {
-        if let Some(&first) = self.path_of.get(&(flow.src(), flow.dst())) {
-            return first;
+        let (src, dst) = (
+            self.host_rank[flow.src().index()],
+            self.host_rank[flow.dst().index()],
+        );
+        assert!(
+            src != NO_RANK && dst != NO_RANK,
+            "flow endpoints must be a fabric source and destination"
+        );
+        let pair = src as usize * self.destinations + dst as usize;
+        if self.path_of[pair] != NO_PATH {
+            return self.path_of[pair];
         }
         let first = self.paths.len() as u32;
         for class in 0..self.classes {
@@ -329,25 +356,20 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             self.fabric
                 .append_links_via(flow, class, &mut self.path_buf);
             debug_assert!(!self.path_buf.is_empty(), "paths cross links");
-            let start = self.path_links.len() as u32;
+            self.dense_buf.clear();
             for &link in &self.path_buf {
                 let Some(d) = self.instance.dense_index(link) else {
                     unreachable!("fabric links are finite")
                 };
-                self.path_links.push(d);
+                self.dense_buf.push(d);
             }
+            self.scratch.push_flows(&self.dense_buf, 0);
             self.paths.push(PathClass {
                 flow,
                 class: class as u32,
-                start,
-                end: self.path_links.len() as u32,
-                live: 0,
-                live_pos: 0,
-                rate: S::zero(),
-                bottleneck: 0,
             });
         }
-        self.path_of.insert((flow.src(), flow.dst()), first);
+        self.path_of[pair] = first;
         first
     }
 
@@ -358,7 +380,7 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
     fn interior_load(&self, path: u32) -> u32 {
         self.interior(path)
             .iter()
-            .map(|&d| self.live_count[d])
+            .map(|&d| self.scratch.link_flows(d) as u32)
             .fold(0, u32::max)
     }
 
@@ -419,38 +441,25 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         self.stats.peak_live = self.stats.peak_live.max(self.live as u64);
     }
 
-    /// Adds one live flow to `path`: bumps its multiplicity (listing it
-    /// live on the first), the live counts of its links, and marks those
-    /// links dirty.
+    /// Adds one live flow to `path` (a multiplicity step of its
+    /// waterfill entry, which updates its links' live counts) and marks
+    /// its links dirty.
     fn join(&mut self, path: u32) {
-        let p = &mut self.paths[path as usize];
-        if p.live == 0 {
-            p.live_pos = self.live_paths.len() as u32;
-            self.live_paths.push(path);
-        }
-        p.live += 1;
-        for i in self.span(path) {
-            let d = self.path_links[i];
-            self.live_count[d] += 1;
-            self.mark_dirty(d);
-        }
+        let live = self.scratch.multiplicity(path as usize) + 1;
+        self.set_live(path, live);
     }
 
-    /// Removes one live flow from `path`, the inverse of [`Self::join`]
-    /// (swap-removing the path from the live list on its last flow).
+    /// Removes one live flow from `path`, the inverse of [`Self::join`].
     fn leave(&mut self, path: u32) {
-        let p = &mut self.paths[path as usize];
-        p.live -= 1;
-        if p.live == 0 {
-            let pos = p.live_pos as usize;
-            self.live_paths.swap_remove(pos);
-            if let Some(&moved) = self.live_paths.get(pos) {
-                self.paths[moved as usize].live_pos = pos as u32;
-            }
-        }
-        for i in self.span(path) {
-            let d = self.path_links[i];
-            self.live_count[d] -= 1;
+        let live = self.scratch.multiplicity(path as usize) - 1;
+        self.set_live(path, live);
+    }
+
+    /// Sets `path`'s live multiplicity and marks its links dirty.
+    fn set_live(&mut self, path: u32, live: usize) {
+        self.scratch.set_multiplicity(path as usize, live);
+        for i in 0..self.links_of(path).len() {
+            let d = self.links_of(path)[i];
             self.mark_dirty(d);
         }
     }
@@ -503,27 +512,12 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         }
         self.dirty_list.clear();
 
-        {
-            let _push = clos_telemetry::span("churn.push");
-            self.scratch.begin();
-            for &path in &self.live_paths {
-                let p = &self.paths[path as usize];
-                self.scratch.push_flows(
-                    &self.path_links[p.start as usize..p.end as usize],
-                    p.live as usize,
-                );
-            }
-        }
+        // The description is current: apply kept every live path's
+        // multiplicity, and the run leaves each path's rate and
+        // bottleneck in place, where accessors read them.
         self.instance.run(&mut self.scratch);
         {
             let _write_back = clos_telemetry::span("churn.write_back");
-            let rates = self.scratch.rates();
-            let bottlenecks = self.scratch.bottlenecks();
-            for (i, &path) in self.live_paths.iter().enumerate() {
-                let p = &mut self.paths[path as usize];
-                p.rate = rates[i];
-                p.bottleneck = bottlenecks[i] as u32;
-            }
             // Every other live slot already shows its current path.
             for &slot in &self.touched {
                 let s = &mut self.slots[slot as usize];
@@ -532,10 +526,11 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             self.touched.clear();
         }
 
+        let paths = self.scratch.live_entries() as u64;
         counters::CHURN_RECOMPUTED_FLOWS.add(self.live as u64);
-        counters::CHURN_RECOMPUTED_PATHS.add(self.live_paths.len() as u64);
+        counters::CHURN_RECOMPUTED_PATHS.add(paths);
         self.stats.recomputed_flows += self.live as u64;
-        self.stats.recomputed_paths += self.live_paths.len() as u64;
+        self.stats.recomputed_paths += paths;
 
         if self.cfg.verify {
             let _verify = clos_telemetry::span("churn.verify");
@@ -550,8 +545,8 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         for si in 0..self.slots.len() {
             let path = self.slots[si].path;
             if path != NO_PATH {
-                let span = self.span(path);
-                self.oracle_scratch.push_flow(&self.path_links[span]);
+                self.oracle_scratch
+                    .push_flow(self.scratch.entry_links(path as usize));
             }
         }
         self.instance.run(&mut self.oracle_scratch);
@@ -720,8 +715,11 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         if slot.shown == NO_PATH {
             (S::zero(), self.links_of(slot.path)[0])
         } else {
-            let p = &self.paths[slot.shown as usize];
-            (p.rate, p.bottleneck as usize)
+            let entry = slot.shown as usize;
+            (
+                self.scratch.rates()[entry],
+                self.scratch.bottlenecks()[entry],
+            )
         }
     }
 
@@ -993,7 +991,7 @@ mod tests {
             assert!(class < 4);
             assert!(e.rate(t as u64).expect("rate published").is_positive());
         }
-        // Depart half (emptying paths off the live-path list), then
+        // Depart half (emptying some paths of their flows), then
         // re-arrive onto reused slots.
         for t in (0..terminals).step_by(2) {
             e.apply(FlowEvent::Depart { key: t as u64 });

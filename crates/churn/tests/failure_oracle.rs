@@ -8,7 +8,7 @@ use clos_churn::{
     TraceConfig, TraceGenerator,
 };
 use clos_fairness::{WaterfillInstance, WaterfillScratch};
-use clos_net::{ClosNetwork, FailureSchedule, Flow};
+use clos_net::{Capacity, CapacityMap, ClosNetwork, FailureSchedule, Flow};
 use clos_rational::{Rational, Scalar, TotalF64};
 use proptest::prelude::*;
 
@@ -244,5 +244,67 @@ fn flow_with_no_surviving_path_is_stuck() {
     assert_eq!(outcome.stuck, 1);
     assert_eq!(engine.rate(0), Some(Rational::ZERO));
     assert_eq!(engine.rate(1), Some(Rational::ONE));
+    assert_matches_fresh_run(&engine);
+}
+
+/// A reroute empties a path while its old flows still report its rate,
+/// and arrivals after a repair fill it again: the engine's waterfill
+/// entry for the path loses its last flow and later regains one, and the
+/// verify oracle checks every epoch against a per-flow recompute.
+#[test]
+fn reroute_empties_a_path_and_repair_refills_it() {
+    let clos = ClosNetwork::standard(2);
+    let mut engine = ChurnEngine::<Rational>::new(
+        clos.clone(),
+        OnlinePolicy::greedy(),
+        ChurnConfig {
+            batch: 64,
+            verify: true,
+        },
+    );
+    // Four flows between one host pair: greedy alternates the middles,
+    // so keys 0 and 2 take middle 0 and keys 1 and 3 middle 1.
+    let flow = Flow::new(clos.source(0, 0), clos.destination(2, 0));
+    for key in 0..4 {
+        engine.apply(FlowEvent::Arrive { key, flow });
+    }
+    engine.flush();
+    let quarter = Rational::new(1, 4);
+    for key in 0..4 {
+        assert_eq!(engine.class_of(key), Some(key as usize % 2));
+        assert_eq!(engine.rate(key), Some(quarter));
+    }
+    let old_bottleneck = engine.bottleneck(0);
+
+    // Middle 0's uplink dies: the reroute moves keys 0 and 2 to middle 1
+    // and leaves the middle-0 path without flows, yet both keep reporting
+    // its rate and bottleneck until the flush.
+    let uplink = clos.uplink(0, 0);
+    let mut overlay = CapacityMap::new();
+    overlay.insert(uplink, Capacity::finite_value(Rational::ZERO));
+    engine.apply_failure(&overlay);
+    let outcome = engine.reroute_failed(&mut LocalReroute::new(1));
+    assert_eq!((outcome.moved, outcome.stuck), (2, 0));
+    for key in [0, 2] {
+        assert_eq!(engine.class_of(key), Some(1));
+        assert_eq!(engine.rate(key), Some(quarter));
+        assert_eq!(engine.bottleneck(key), old_bottleneck);
+    }
+    engine.flush();
+    assert!(engine.live_flows().all(|(_, rate)| rate == quarter));
+    let paths_before = engine.stats().recomputed_paths;
+    engine.apply(FlowEvent::Depart { key: 3 });
+    engine.flush();
+    // Only the middle-1 path is live.
+    assert_eq!(engine.stats().recomputed_paths, paths_before + 1);
+
+    // Repair the uplink: the next arrival goes back to the emptied path.
+    overlay.insert(uplink, Capacity::finite_value(Rational::ONE));
+    engine.apply_failure(&overlay);
+    engine.apply(FlowEvent::Arrive { key: 4, flow });
+    assert_eq!(engine.class_of(4), Some(0));
+    engine.flush();
+    assert_eq!(engine.stats().recomputed_paths, paths_before + 3);
+    assert!(engine.live_flows().all(|(_, rate)| rate == quarter));
     assert_matches_fresh_run(&engine);
 }

@@ -68,6 +68,23 @@ pub fn find_feasible_routing<F: Fabric + Sync>(
     flows: &[Flow],
     rates: &[Rational],
 ) -> Option<Routing> {
+    find_feasible_routing_with(fabric, flows, rates, SearchConfig::default())
+}
+
+/// [`find_feasible_routing`] with explicit engine configuration (thread
+/// count, pruning toggle). The routing found is identical for every
+/// configuration; only statistics and wall time differ.
+///
+/// # Panics
+///
+/// See [`find_feasible_routing`].
+#[must_use]
+pub fn find_feasible_routing_with<F: Fabric + Sync>(
+    fabric: &F,
+    flows: &[Flow],
+    rates: &[Rational],
+    config: SearchConfig,
+) -> Option<Routing> {
     check_arguments(flows, rates);
     let _span = clos_telemetry::span("replication");
     // Positive-rate flows in decreasing-rate order (stronger constraints
@@ -79,7 +96,7 @@ pub fn find_feasible_routing<F: Fabric + Sync>(
     let objective = Feasibility {
         rates: &search_rates,
     };
-    let (winner, _) = run_search(fabric, &search_flows, &objective, SearchConfig::default());
+    let (winner, _) = run_search(fabric, &search_flows, &objective, config);
     let mut classes = vec![0; flows.len()];
     for (&i, &c) in order.iter().zip(&winner) {
         classes[i] = c;

@@ -11,9 +11,10 @@
 //! * [`WaterfillInstance`] — everything that depends only on the network:
 //!   the dense table of finite links and their capacities. Compiled once.
 //! * [`WaterfillScratch`] — everything that depends on the routing: the
-//!   per-flow link lists, member lists, rates, and frozen/active state,
-//!   all held in flat buffers that are *cleared, never reallocated*
-//!   between runs.
+//!   description (per-entry link lists and multiplicities, per-link member
+//!   lists and flow counts, all kept current as entries are pushed or
+//!   change multiplicity) and the run's rates and frozen/active state,
+//!   held in buffers that are *cleared, never reallocated* between runs.
 //!
 //! [`WaterfillInstance::run`] is the workspace's one progressive-filling
 //! loop, and it performs **zero heap allocations** once the scratch has
@@ -23,18 +24,25 @@
 //!
 //! # The round loop
 //!
-//! Each round costs one pass over the links that still carry unfrozen
-//! flows, not two passes over every link. The run keeps those links in an
-//! ascending list (compacted only on rounds that empty a link) and caches
-//! every link's saturation level, refreshing it right after a round's
-//! update pass touches the link. One scan then finds the minimum level and
-//! the links at it, in ascending order, and the round freezes from that
-//! list. Bottleneck order, the frozen-load sums (counted, see below), and
+//! The run starts from the description's member lists and flow counts as
+//! they stand (nothing is sorted or rebuilt per run). Each round costs one
+//! pass over the links that still carry unfrozen flows, not two passes
+//! over every link. The run keeps those links in an ascending list
+//! (compacted only on rounds that empty a link) and caches every link's
+//! saturation level, refreshing it right after a round's update pass
+//! touches the link. One scan then finds the minimum level and the links
+//! at it, in ascending order, and the round freezes from that list. Bottleneck order, the frozen-load sums (counted, see below), and
 //! the divisions are those of textbook progressive filling — every round
 //! recomputes every level and makes two full passes in link order — so
 //! rates, levels, and bottlenecks are bit-identical to it in every scalar
 //! mode. The `compiled_equivalence` test suite checks that against a
 //! plain reference implementation.
+//!
+//! An unweighted run does not depend on the order of the member lists: a
+//! round visits the links at its level in ascending order, so an entry's
+//! bottleneck is its first such link whichever member reaches it first,
+//! and the round's frozen-load adds are counted per link (see below), so
+//! the order in which entries freeze within a round changes no sum.
 //!
 //! # Multiplicities
 //!
@@ -52,6 +60,16 @@
 //! bit-identical to pushing the `m` flows one by one, in any order, in
 //! every scalar mode.
 //!
+//! [`WaterfillScratch::set_multiplicity`] changes an entry's multiplicity
+//! in place: its links' flow counts move by the difference, and an entry
+//! that loses its last flow leaves its links' member lists (swap-removed)
+//! and rejoins them at the end when it regains one. An entry of
+//! multiplicity zero is described but absent: the run skips it and leaves
+//! its rate and bottleneck as the last run that filled it set them. A
+//! caller whose flows churn (the churn engine) therefore keeps one
+//! description for good and changes only the entries whose multiplicity
+//! changed, and a run costs nothing per absent entry.
+//!
 //! # Weights
 //!
 //! [`WaterfillScratch::push_weighted_flow`] gives an entry a weight `w`
@@ -61,18 +79,24 @@
 //! load in the update pass, since those adds differ from flow to flow.
 //! Without weighted entries the weight vector stays empty and the
 //! unweighted arithmetic runs unchanged; a multiplicity-`m` entry in a
-//! weighted run counts as `m` flows of unit weight.
+//! weighted run counts as `m` flows of unit weight. Those per-flow sums
+//! depend on member order, which is push order until an entry is removed,
+//! so a weighted description is built by pushes alone (removing one of
+//! its entries panics).
 //!
 //! # The scratch-reuse contract
 //!
-//! Between `run`s the scratch may only be refilled via
-//! [`WaterfillScratch::begin`] + [`WaterfillScratch::push_flow`]; both
-//! reuse the buffers' existing capacity. A warm run (the scratch has run
-//! at least once before) is counted in the `waterfill.scratch_reuse`
-//! telemetry counter, and allocates only if the new description is
-//! *larger* than anything the scratch has seen — steady-state loops over
-//! a fixed instance therefore touch the allocator exactly never (asserted
-//! by `bench_search`'s counting allocator).
+//! Between `run`s the description changes only through
+//! [`WaterfillScratch::begin`] (which empties it), the push calls (which
+//! append entries), and [`WaterfillScratch::set_multiplicity`]; each keeps
+//! the member lists and flow counts current, and all of them reuse the
+//! buffers' existing capacity. A run reads the description and leaves it
+//! as it was, so a description may be run, changed, and run again. A warm
+//! run (the scratch has run at least once before) is counted in the
+//! `waterfill.scratch_reuse` telemetry counter, and allocates only if the
+//! new description is *larger* than anything the scratch has seen —
+//! steady-state loops over a fixed instance therefore touch the allocator
+//! exactly never (asserted by `bench_search`'s counting allocator).
 //!
 //! [`max_min_fair`]: crate::max_min_fair
 //! [`max_min_fair_traced`]: crate::max_min_fair_traced
@@ -212,9 +236,9 @@ impl<S: Scalar> WaterfillInstance<S> {
     }
 
     /// Water-fills the flow collection described in `scratch` (via
-    /// [`WaterfillScratch::begin`]/[`WaterfillScratch::push_flow`]),
-    /// leaving rates, fill levels, and bottlenecks readable from the
-    /// scratch. Rates, levels, and bottlenecks are bit-identical to
+    /// [`WaterfillScratch::begin`]/[`WaterfillScratch::push_flow`] and
+    /// their kin), leaving rates, fill levels, and bottlenecks readable
+    /// from the scratch and the description unchanged. Rates, levels, and bottlenecks are bit-identical to
     /// textbook progressive filling in every scalar mode (see the module
     /// docs' round loop and the `compiled_equivalence` reference test);
     /// after one warm-up run per instance size it performs no heap
@@ -236,78 +260,48 @@ impl<S: Scalar> WaterfillInstance<S> {
             scratch.warm = true;
         }
         let s = scratch;
-        let flows = s.flow_starts.len() - 1;
+        let flows = s.flow_count();
         let links = self.capacities.len();
+        s.grow_links(links);
 
-        // Per-link member lists, rebuilt by counting sort into one flat
-        // buffer: count entries, prefix-sum into starts, then fill.
+        // The description keeps every link's member list and flow count
+        // current; the run only copies the counts it consumes.
         s.active_count.clear();
-        s.active_count.resize(links, 0);
-        for &d in &s.flow_links {
-            s.active_count[d] += 1;
-        }
-        s.member_starts.clear();
-        s.member_starts.reserve(links + 1);
-        s.member_starts.push(0);
-        let mut total = 0usize;
-        for &c in &s.active_count {
-            total += c;
-            s.member_starts.push(total);
-        }
-        // Active counts are flows, not entries: weigh each entry by its
-        // multiplicity (nothing to add for unit entries).
-        let multiplied = !s.multiplicity.is_empty();
-        if multiplied {
-            for i in 0..flows {
-                let extra = s.multiplicity[i] - 1;
-                for k in s.flow_starts[i]..s.flow_starts[i + 1] {
-                    s.active_count[s.flow_links[k]] += extra;
-                }
-            }
-        }
+        s.active_count.extend_from_slice(&s.link_flows[..links]);
         // Weighted runs fill a link by the summed weights of its active
         // flows instead of their count (entries pushed without a weight
-        // after the last weighted one have unit weight).
+        // after the last weighted one have unit weight). Members are in
+        // push order, so each link sums its weights in entry order.
+        let multiplied = !s.multiplicity.is_empty();
         let weighted = !s.weights.is_empty();
         if weighted {
             s.weights.resize(flows, S::one());
             s.active_weight.clear();
             s.active_weight.resize(links, S::zero());
-            for i in 0..flows {
-                let m = if multiplied { s.multiplicity[i] } else { 1 };
-                for k in s.flow_starts[i]..s.flow_starts[i + 1] {
+            for d in 0..links {
+                for &f in &s.members[d] {
+                    let f = f as usize;
+                    let m = if multiplied { s.multiplicity[f] } else { 1 };
                     for _ in 0..m {
-                        s.active_weight[s.flow_links[k]] += s.weights[i];
+                        s.active_weight[d] += s.weights[f];
                     }
                 }
             }
         }
-        s.cursor.clear();
-        s.cursor.extend_from_slice(&s.member_starts[..links]);
-        s.members.clear();
-        s.members.resize(total, 0);
-        for i in 0..flows {
-            for k in s.flow_starts[i]..s.flow_starts[i + 1] {
-                let d = s.flow_links[k];
-                s.members[s.cursor[d]] = i;
-                s.cursor[d] += 1;
-            }
-        }
 
-        s.rates.clear();
+        // Results of zero-multiplicity entries are left as they were, so
+        // only entries described since the last run are initialized.
         s.rates.resize(flows, S::zero());
-        s.frozen.clear();
+        s.bottleneck_of.resize(flows, 0);
         s.frozen.resize(flows, false);
+        s.frozen_order.clear();
+        s.frozen_order.reserve(s.live);
         s.frozen_load.clear();
         s.frozen_load.resize(links, S::zero());
         s.frozen_adds.clear();
         s.frozen_adds.resize(links, 0);
-        s.bottleneck_of.clear();
-        s.bottleneck_of.resize(flows, 0);
         s.levels.clear();
-        s.levels.reserve(flows);
-        s.newly_frozen.clear();
-        s.newly_frozen.reserve(flows);
+        s.levels.reserve(s.live);
         s.active_links.clear();
         s.active_links.reserve(links);
         s.at_minimum.clear();
@@ -328,7 +322,7 @@ impl<S: Scalar> WaterfillInstance<S> {
                 s.active_links.push(d);
             }
         }
-        let mut remaining = flows;
+        let mut remaining = s.live;
 
         while remaining > 0 {
             // One scan over the links that still carry unfrozen flows
@@ -352,12 +346,15 @@ impl<S: Scalar> WaterfillInstance<S> {
             let level =
                 min_level.expect("invariant: unfrozen flows always touch a compiled finite link");
 
-            // Freeze every active flow on every link saturating at `level`.
-            s.newly_frozen.clear();
+            // Freeze every active flow on every link saturating at
+            // `level`. Links are visited in ascending order, so an entry's
+            // bottleneck is its first at-minimum link whatever the order
+            // of the member lists.
+            let round_start = s.frozen_order.len();
             for &d in &s.at_minimum {
                 counters::WATERFILL_SATURATIONS.incr();
-                for k in s.member_starts[d]..s.member_starts[d + 1] {
-                    let f = s.members[k];
+                for &f in &s.members[d] {
+                    let f = f as usize;
                     if !s.frozen[f] {
                         s.frozen[f] = true;
                         s.rates[f] = if weighted {
@@ -366,22 +363,24 @@ impl<S: Scalar> WaterfillInstance<S> {
                             level
                         };
                         s.bottleneck_of[f] = d;
-                        s.newly_frozen.push(f);
+                        s.frozen_order.push(f);
                     }
                 }
             }
-            debug_assert!(!s.newly_frozen.is_empty(), "progress each round");
+            debug_assert!(s.frozen_order.len() > round_start, "progress each round");
             counters::WATERFILL_ROUNDS.incr();
             s.levels.push(level);
-            for i in 0..s.newly_frozen.len() {
-                let f = s.newly_frozen[i];
+            for i in round_start..s.frozen_order.len() {
+                let f = s.frozen_order[i];
                 let m = if multiplied { s.multiplicity[f] } else { 1 };
                 for k in s.flow_starts[f]..s.flow_starts[f + 1] {
                     let d = s.flow_links[k];
                     s.active_count[d] -= m;
                     // Unweighted, every add of the round is `level`: count
-                    // them, and the refresh below adds them in one call.
-                    // Weighted rates differ per flow, so add them here.
+                    // them, and the refresh below adds them in one call
+                    // (so the order of the round's frozen entries does not
+                    // matter). Weighted rates differ per flow, so add them
+                    // here, in member order.
                     if weighted {
                         for _ in 0..m {
                             s.frozen_load[d] += s.rates[f];
@@ -395,8 +394,8 @@ impl<S: Scalar> WaterfillInstance<S> {
                         s.touched.push(d);
                     }
                 }
-                remaining -= 1;
             }
+            remaining -= s.frozen_order.len() - round_start;
             // Commit the counted adds and refresh the touched links'
             // levels; drop emptied links from the active list (in place,
             // keeping it ascending). An emptied link's load is never
@@ -419,6 +418,11 @@ impl<S: Scalar> WaterfillInstance<S> {
                 s.active_links.retain(|&d| active_count[d] > 0);
             }
         }
+        // Every live entry froze; clear the flags for the next run.
+        for i in 0..s.frozen_order.len() {
+            let f = s.frozen_order[i];
+            s.frozen[f] = false;
+        }
     }
 
     /// Link `d`'s residual capacity per unit of active weight (per active
@@ -436,37 +440,42 @@ impl<S: Scalar> WaterfillInstance<S> {
     }
 }
 
-/// The routing-dependent half of water-filling: every buffer the
-/// iteration needs, reused run to run (see the module docs for the
-/// scratch-reuse contract).
+/// The routing-dependent half of water-filling: the flow description
+/// (entries, their links and multiplicities, and every link's member list
+/// and flow count, kept current as the description changes) plus every
+/// buffer the iteration needs, reused run to run (see the module docs for
+/// the scratch-reuse contract).
 #[derive(Clone, Debug)]
 pub struct WaterfillScratch<S> {
-    /// Dense link indices of every flow, concatenated (a CSR layout with
+    /// Dense link indices of every entry, concatenated (a CSR layout with
     /// `flow_starts`). Duplicate entries count double, exactly like a
     /// path crossing the same link twice.
     flow_links: Vec<usize>,
     /// `flow_links[flow_starts[i]..flow_starts[i + 1]]` are entry `i`'s.
     flow_starts: Vec<usize>,
-    /// Per-entry count of identical flows the entry stands for; empty
-    /// while every entry is a single flow, so unit pushes cost nothing.
+    /// Per-entry count of identical flows the entry stands for (zero for
+    /// an entry that is described but absent); empty while every entry
+    /// is a single flow, so unit pushes cost nothing.
     multiplicity: Vec<usize>,
     /// Per-entry weight; empty while every entry has unit weight, and
     /// shorter than the entry list when unit entries follow the last
     /// weighted one (the run pads it with ones).
     weights: Vec<S>,
-    /// Member flows of every link, concatenated (CSR with
-    /// `member_starts`); rebuilt each run by counting sort.
-    members: Vec<usize>,
-    /// `members[member_starts[d]..member_starts[d + 1]]` cross link `d`.
-    member_starts: Vec<usize>,
-    /// Per-link fill cursor for the counting sort.
-    cursor: Vec<usize>,
-    /// Per-flow rate (the result).
+    /// Per-link member list: the entry of every slot of `flow_links` on
+    /// the link whose entry has a nonzero multiplicity (an entry crossing
+    /// the link twice is listed twice). Push order until an entry loses
+    /// its last flow, which swap-removes it.
+    members: Vec<Vec<u32>>,
+    /// Per-link flow count: the summed multiplicities of its members.
+    link_flows: Vec<usize>,
+    /// Number of entries with a nonzero multiplicity.
+    live: usize,
+    /// Per-entry rate (the result).
     rates: Vec<S>,
-    /// Per-flow frozen flag.
+    /// Per-entry frozen flag (all clear between runs).
     frozen: Vec<bool>,
-    /// Flows frozen in the current round, in freezing order.
-    newly_frozen: Vec<usize>,
+    /// Entries in freezing order; the current round's are a suffix.
+    frozen_order: Vec<usize>,
     /// Per-link count of unfrozen member flows.
     active_count: Vec<usize>,
     /// Per-link summed weight of unfrozen member flows (weighted runs).
@@ -490,7 +499,7 @@ pub struct WaterfillScratch<S> {
     touched: Vec<usize>,
     /// Fill level of each freezing round (the trace).
     levels: Vec<S>,
-    /// Per-flow dense index of the link that froze it (the bottleneck).
+    /// Per-entry dense index of the link that froze it (the bottleneck).
     bottleneck_of: Vec<usize>,
     /// Whether this scratch has completed a run before (telemetry).
     warm: bool,
@@ -506,11 +515,11 @@ impl<S: Scalar> WaterfillScratch<S> {
             multiplicity: Vec::new(),
             weights: Vec::new(),
             members: Vec::new(),
-            member_starts: Vec::new(),
-            cursor: Vec::new(),
+            link_flows: Vec::new(),
+            live: 0,
             rates: Vec::new(),
             frozen: Vec::new(),
-            newly_frozen: Vec::new(),
+            frozen_order: Vec::new(),
             active_count: Vec::new(),
             active_weight: Vec::new(),
             frozen_load: Vec::new(),
@@ -537,11 +546,17 @@ impl<S: Scalar> WaterfillScratch<S> {
     /// Starts describing a new flow collection (clears the previous one,
     /// keeping every buffer's capacity).
     pub fn begin(&mut self) {
+        // Only the links of the previous description carry members.
+        for &d in &self.flow_links {
+            self.members[d].clear();
+            self.link_flows[d] = 0;
+        }
         self.flow_links.clear();
         self.flow_starts.clear();
         self.flow_starts.push(0);
         self.multiplicity.clear();
         self.weights.clear();
+        self.live = 0;
     }
 
     /// Appends the next flow, crossing the given dense link indices (from
@@ -553,21 +568,29 @@ impl<S: Scalar> WaterfillScratch<S> {
     /// Appends `multiplicity` identical flows crossing `links` as one
     /// entry: the run gives the entry the rate and bottleneck each of
     /// those flows would get if pushed separately (see the module docs),
-    /// and the result slices hold one element per entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `multiplicity` is zero.
+    /// and the result slices hold one element per entry. A multiplicity
+    /// of zero describes the entry without any flow on it (it joins its
+    /// links once [`Self::set_multiplicity`] gives it flows).
     pub fn push_flows(&mut self, links: &[usize], multiplicity: usize) {
-        assert!(multiplicity >= 1, "an entry stands for at least one flow");
-        if multiplicity > 1 || !self.multiplicity.is_empty() {
-            // On the first weighted entry, every earlier one is a single
-            // flow.
-            self.multiplicity.resize(self.flow_count(), 1);
-            self.multiplicity.push(multiplicity);
-        }
+        let entry = self.flow_count();
+        // Member lists hold entry ids as `u32`.
+        assert!(
+            entry < u32::MAX as usize,
+            "a description holds fewer than 2^32 entries"
+        );
         self.flow_links.extend_from_slice(links);
         self.flow_starts.push(self.flow_links.len());
+        if let Some(&last) = links.iter().max() {
+            self.grow_links(last + 1);
+        }
+        if multiplicity != 1 || !self.multiplicity.is_empty() {
+            // Every earlier entry is a single flow.
+            self.multiplicity.resize(entry, 1);
+            self.multiplicity.push(0);
+            self.set_multiplicity(entry, multiplicity);
+        } else {
+            self.enlist(entry, 1);
+        }
     }
 
     /// Appends one flow of weight `weight` crossing `links`: the run
@@ -583,18 +606,116 @@ impl<S: Scalar> WaterfillScratch<S> {
         // Every earlier entry without a weight has unit weight.
         self.weights.resize(self.flow_count(), S::one());
         self.weights.push(weight);
-        if !self.multiplicity.is_empty() {
-            self.multiplicity.push(1);
+        self.push_flow(links);
+    }
+
+    /// Changes entry `entry`'s multiplicity to `multiplicity`, updating
+    /// its links' flow counts, and their member lists when the entry
+    /// gains its first flow or loses its last (a loss scans each of its
+    /// links' lists for it). Zero leaves the entry described but absent:
+    /// the run skips it and leaves its rate and bottleneck as the last
+    /// run that saw it set them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entry` is out of range, or if an entry of a weighted
+    /// description loses its last flow (weighted runs read the member
+    /// lists in push order, which removal would reorder).
+    pub fn set_multiplicity(&mut self, entry: usize, multiplicity: usize) {
+        if self.multiplicity.is_empty() {
+            self.multiplicity.resize(self.flow_count(), 1);
         }
-        self.flow_links.extend_from_slice(links);
-        self.flow_starts.push(self.flow_links.len());
+        let old = self.multiplicity[entry];
+        self.multiplicity[entry] = multiplicity;
+        if old == 0 && multiplicity > 0 {
+            self.enlist(entry, multiplicity);
+        } else if old > 0 && multiplicity == 0 {
+            self.delist(entry, old);
+        } else {
+            for k in self.flow_starts[entry]..self.flow_starts[entry + 1] {
+                let d = self.flow_links[k];
+                self.link_flows[d] = self.link_flows[d] - old + multiplicity;
+            }
+        }
+    }
+
+    /// Appends entry `entry`, of multiplicity `m`, to its links' member
+    /// lists and flow counts.
+    fn enlist(&mut self, entry: usize, m: usize) {
+        for k in self.flow_starts[entry]..self.flow_starts[entry + 1] {
+            let d = self.flow_links[k];
+            self.members[d].push(entry as u32);
+            self.link_flows[d] += m;
+        }
+        self.live += 1;
+    }
+
+    /// Removes entry `entry`, of multiplicity `m`, from its links'
+    /// member lists (one record per slot, found by a scan of the link's
+    /// list and swap-removed) and flow counts.
+    fn delist(&mut self, entry: usize, m: usize) {
+        assert!(self.weights.is_empty(), "weighted entries keep their flows");
+        for k in self.flow_starts[entry]..self.flow_starts[entry + 1] {
+            let d = self.flow_links[k];
+            let list = &mut self.members[d];
+            let Some(pos) = list.iter().position(|&e| e as usize == entry) else {
+                unreachable!("an entry with flows is a member of its links")
+            };
+            list.swap_remove(pos);
+            self.link_flows[d] -= m;
+        }
+        self.live -= 1;
+    }
+
+    /// Grows the per-link tables to at least `links` links.
+    fn grow_links(&mut self, links: usize) {
+        if self.members.len() < links {
+            self.members.resize_with(links, Default::default);
+            self.link_flows.resize(links, 0);
+        }
     }
 
     /// Number of entries described since the last [`Self::begin`] (one
-    /// per push call).
+    /// per push call), zero-multiplicity ones included.
     #[must_use]
     pub fn flow_count(&self) -> usize {
         self.flow_starts.len() - 1
+    }
+
+    /// Number of entries with a nonzero multiplicity (the entries a run
+    /// water-fills).
+    #[must_use]
+    pub fn live_entries(&self) -> usize {
+        self.live
+    }
+
+    /// Entry `entry`'s multiplicity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entry` is out of range.
+    #[must_use]
+    pub fn multiplicity(&self, entry: usize) -> usize {
+        assert!(entry < self.flow_count(), "entry out of range");
+        self.multiplicity.get(entry).copied().unwrap_or(1)
+    }
+
+    /// Entry `entry`'s dense links, as pushed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entry` is out of range.
+    #[must_use]
+    pub fn entry_links(&self, entry: usize) -> &[usize] {
+        &self.flow_links[self.flow_starts[entry]..self.flow_starts[entry + 1]]
+    }
+
+    /// Number of described flows crossing dense link `dense`: its
+    /// entries' summed multiplicities (a link crossed twice by an entry
+    /// counts it twice). Zero for links no entry crosses.
+    #[must_use]
+    pub fn link_flows(&self, dense: usize) -> usize {
+        self.link_flows.get(dense).copied().unwrap_or(0)
     }
 
     /// Returns `true` if the last described flow crosses no link (its
@@ -606,7 +727,9 @@ impl<S: Scalar> WaterfillScratch<S> {
         n >= 2 && self.flow_starts[n - 1] == self.flow_starts[n - 2]
     }
 
-    /// Per-entry rates of the last run, in push order.
+    /// Per-entry rates of the last run, in push order (one per entry
+    /// described at that run; a zero-multiplicity entry keeps the rate of
+    /// the last run that water-filled it, zero if none did).
     #[must_use]
     pub fn rates(&self) -> &[S] {
         &self.rates
@@ -619,7 +742,8 @@ impl<S: Scalar> WaterfillScratch<S> {
     }
 
     /// Per-entry dense index of the bottleneck link of the last run (map
-    /// back with [`WaterfillInstance::link_id`]).
+    /// back with [`WaterfillInstance::link_id`]; zero-multiplicity
+    /// entries as for [`Self::rates`]).
     #[must_use]
     pub fn bottlenecks(&self) -> &[usize] {
         &self.bottleneck_of

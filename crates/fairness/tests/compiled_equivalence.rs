@@ -289,7 +289,7 @@ proptest! {
 
     /// A multiplicity-`k` entry is exactly `k` pushed copies, in both
     /// scalars, and results do not depend on push order (the churn
-    /// engine's live-path list is unordered).
+    /// engine's member lists are reordered by departures).
     #[test]
     fn multiplicity_equals_copies_in_any_order(raw in weighted_entries(3, 10, 6)) {
         let clos = ClosNetwork::standard(3);
@@ -631,5 +631,102 @@ proptest! {
         let clos = ClosNetwork::standard(3);
         assert_matches_reference::<Rational>(&clos, &capacities, &raw);
         assert_matches_reference::<TotalF64>(&clos, &capacities, &raw);
+    }
+}
+
+/// One step applied to a maintained description: `(kind, index,
+/// multiplicity)`. Kind 0 pushes `raw[index]`'s links as a new entry, kind
+/// 1 sets an existing entry's multiplicity (zero removes it, and a
+/// removed entry given flows again joins its links' member lists at the
+/// end), kind 2 runs the description and checks it.
+type Step = (u8, usize, usize);
+
+/// Runs the maintained description in `scratch` (each entry's links and
+/// current multiplicity are in `entries`) and asserts that its rates,
+/// bottlenecks, levels, and per-link flow counts equal those of a fresh
+/// `begin` + `push_flows` description of its live entries, pushed in the
+/// order of `keys`, bit for bit.
+fn assert_maintained_equals_fresh<S: Scalar>(
+    instance: &WaterfillInstance<S>,
+    scratch: &mut WaterfillScratch<S>,
+    entries: &[Entry],
+    keys: &[u64],
+) {
+    instance.run(scratch);
+    let mut live: Vec<usize> = (0..entries.len()).filter(|&i| entries[i].1 > 0).collect();
+    live.sort_by_key(|&i| (keys[i % keys.len()], i));
+    let mut fresh = WaterfillScratch::new();
+    fresh.begin();
+    for &i in &live {
+        fresh.push_flows(&entries[i].0, entries[i].1);
+    }
+    instance.run(&mut fresh);
+    assert_eq!(scratch.live_entries(), live.len(), "live entry count");
+    for (j, &i) in live.iter().enumerate() {
+        assert_eq!(scratch.rates()[i], fresh.rates()[j], "rate of entry {i}");
+        assert_eq!(
+            scratch.bottlenecks()[i],
+            fresh.bottlenecks()[j],
+            "bottleneck of entry {i}"
+        );
+    }
+    assert_eq!(scratch.levels(), fresh.levels(), "levels diverged");
+    for d in 0..instance.link_count() {
+        assert_eq!(scratch.link_flows(d), fresh.link_flows(d), "flows on {d}");
+    }
+}
+
+/// Applies `steps` to one scratch (starting from `raw`'s entries pushed
+/// at their multiplicities), checking at every run step and at the end.
+fn assert_maintained_description<S: Scalar>(
+    clos: &ClosNetwork,
+    raw: &[(usize, usize, usize, usize, usize, usize, u64)],
+    steps: &[Step],
+) {
+    let instance = WaterfillInstance::<S>::compile(clos.network());
+    let (pool, _) = entries_and_order(clos, raw);
+    let keys: Vec<u64> = raw.iter().map(|r| r.6).collect();
+    let mut entries: Vec<Entry> = Vec::new();
+    let mut scratch = WaterfillScratch::new();
+    scratch.begin();
+    for (links, m) in &pool {
+        scratch.push_flows(links, *m);
+        entries.push((links.clone(), *m));
+    }
+    for &(kind, index, m) in steps {
+        match kind {
+            0 => {
+                let links = &pool[index % pool.len()].0;
+                scratch.push_flows(links, m);
+                entries.push((links.clone(), m));
+            }
+            1 => {
+                let i = index % entries.len();
+                scratch.set_multiplicity(i, m);
+                assert_eq!(scratch.multiplicity(i), m);
+                entries[i].1 = m;
+            }
+            _ => assert_maintained_equals_fresh(&instance, &mut scratch, &entries, &keys),
+        }
+    }
+    assert_maintained_equals_fresh(&instance, &mut scratch, &entries, &keys);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A description kept current through pushes, removals, re-inserts,
+    /// and multiplicity changes (0↔1 crossings included; removals reorder
+    /// the member lists) runs exactly like a fresh description of the
+    /// same live entries in any push order, in both scalars, also when
+    /// the scratch runs between steps.
+    #[test]
+    fn maintained_description_equals_fresh_push(
+        raw in weighted_entries(3, 8, 4),
+        steps in prop::collection::vec((0..3u8, any::<usize>(), 0..=3usize), 0..40),
+    ) {
+        let clos = ClosNetwork::standard(3);
+        assert_maintained_description::<Rational>(&clos, &raw, &steps);
+        assert_maintained_description::<TotalF64>(&clos, &raw, &steps);
     }
 }
