@@ -326,8 +326,9 @@ struct EvalBench {
 /// Steady-state allocations are counted across *all* reps.
 fn eval_pipeline_bench(reps: u32) -> EvalBench {
     /// Timed passes over the assignment set per rep; with the 4
-    /// assignments below this is 8000 evaluations per rep.
-    const PASSES: u64 = 2000;
+    /// assignments below this is 100,000 evaluations per rep, a few
+    /// hundred ms on a 2-core x86-64 host.
+    const PASSES: u64 = 25_000;
     let instance = INSTANCES
         .iter()
         .find(|i| i.name == "hot4")

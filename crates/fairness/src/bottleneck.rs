@@ -6,6 +6,7 @@ use std::fmt;
 use clos_net::{Flow, FlowId, LinkId, Network, Routing};
 use clos_rational::Scalar;
 
+use crate::feasibility::first_overload;
 use crate::{link_loads, Allocation};
 
 /// The error returned when an allocation fails the bottleneck
@@ -101,47 +102,60 @@ pub fn verify_bottleneck_property<S: Scalar>(
     allocation: &Allocation<S>,
     tolerance: S,
 ) -> Result<(), BottleneckViolation<S>> {
+    verify_certificate(net, flows, routing, allocation, None, tolerance)
+}
+
+/// The Lemma 2.2 certificate behind both verifiers. A flow's level is its
+/// rate, or its normalized rate `a(f)/w_f` when `weights` is given; a
+/// bottleneck is a saturated traversed link on which the flow's level is
+/// maximal. It reads only the allocation, never the waterfill, so it stays
+/// an independent check of the allocator.
+pub(crate) fn verify_certificate<S: Scalar>(
+    net: &Network,
+    flows: &[Flow],
+    routing: &Routing,
+    allocation: &Allocation<S>,
+    weights: Option<&[S]>,
+    tolerance: S,
+) -> Result<(), BottleneckViolation<S>> {
     let loads = link_loads(net, flows, routing, allocation);
 
     // Feasibility first (condition 1 of Definition 2.1).
-    for link in net.links() {
-        if let Some(cap) = link.capacity().finite() {
-            let cap = S::from_rational(cap);
-            let load = loads[link.id().index()];
-            if load > cap + tolerance {
-                return Err(BottleneckViolation::Infeasible {
-                    link: link.id(),
-                    load,
-                    capacity: cap,
-                });
-            }
-        }
+    if let Some(v) = first_overload(net, &loads, tolerance) {
+        return Err(BottleneckViolation::Infeasible {
+            link: v.link,
+            load: v.load,
+            capacity: v.capacity,
+        });
     }
 
-    // Max rate per link, for the maximality half of the bottleneck test.
-    let mut max_rate = vec![S::zero(); net.link_count()];
+    let rates = allocation.rates();
+    let level = |i: usize| match weights {
+        None => rates[i],
+        Some(w) => rates[i] / w[i],
+    };
+
+    // Max level per link, for the maximality half of the bottleneck test.
+    let mut max_level = vec![S::zero(); net.link_count()];
     for (i, path) in routing.paths().iter().enumerate() {
-        let rate = allocation.rates()[i];
+        let level = level(i);
         for &e in path.links() {
-            let e = e.index();
-            if rate > max_rate[e] {
-                max_rate[e] = rate;
+            let max = &mut max_level[e.index()];
+            if level > *max {
+                *max = level;
             }
         }
     }
 
     // Every flow needs a saturated traversed link on which it is maximal.
     for (i, path) in routing.paths().iter().enumerate() {
-        let rate = allocation.rates()[i];
+        let level = level(i);
         let has_bottleneck = path.links().iter().any(|&e| {
-            let link = net.link(e);
-            match link.capacity().finite() {
+            match net.link(e).capacity().finite() {
                 None => false, // infinite links are never saturated
                 Some(cap) => {
-                    let cap = S::from_rational(cap);
-                    let saturated = loads[e.index()] + tolerance >= cap;
-                    let maximal = rate + tolerance >= max_rate[e.index()];
-                    saturated && maximal
+                    loads[e.index()] + tolerance >= S::from_rational(cap)
+                        && level + tolerance >= max_level[e.index()]
                 }
             }
         });

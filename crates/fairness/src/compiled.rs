@@ -718,15 +718,6 @@ impl<S: Scalar> WaterfillScratch<S> {
         self.link_flows.get(dense).copied().unwrap_or(0)
     }
 
-    /// Returns `true` if the last described flow crosses no link (its
-    /// rate would be unbounded; see [`WaterfillInstance::run`]'s panic
-    /// contract).
-    #[must_use]
-    pub fn last_flow_is_unbounded(&self) -> bool {
-        let n = self.flow_starts.len();
-        n >= 2 && self.flow_starts[n - 1] == self.flow_starts[n - 2]
-    }
-
     /// Per-entry rates of the last run, in push order (one per entry
     /// described at that run; a zero-multiplicity entry keeps the rate of
     /// the last run that water-filled it, zero if none did).
@@ -873,15 +864,5 @@ mod tests {
         run_on(ms.network(), &routing, &mut scratch);
         assert!(scratch.rates().iter().all(|&x| x == r(1, 4)));
         assert_eq!(scratch.flow_count(), 4);
-    }
-
-    #[test]
-    fn unbounded_flow_is_detectable_before_running() {
-        let mut scratch = WaterfillScratch::<Rational>::new();
-        scratch.begin();
-        scratch.push_flow(&[0, 1]);
-        assert!(!scratch.last_flow_is_unbounded());
-        scratch.push_flow(&[]);
-        assert!(scratch.last_flow_is_unbounded());
     }
 }

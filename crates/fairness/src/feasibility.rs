@@ -97,20 +97,26 @@ pub fn is_feasible<S: Scalar>(
     allocation: &Allocation<S>,
 ) -> Result<(), FeasibilityViolation<S>> {
     let loads = link_loads(net, flows, routing, allocation);
-    for link in net.links() {
-        if let Some(cap) = link.capacity().finite() {
-            let cap = S::from_rational(cap);
-            let load = loads[link.id().index()];
-            if load > cap {
-                return Err(FeasibilityViolation {
-                    link: link.id(),
-                    load,
-                    capacity: cap,
-                });
-            }
-        }
-    }
-    Ok(())
+    first_overload(net, &loads, S::zero()).map_or(Ok(()), Err)
+}
+
+/// The first finite-capacity link, in link order, whose load exceeds its
+/// capacity by more than `tolerance`: the capacity check shared by
+/// [`is_feasible`] and the bottleneck certificate.
+pub(crate) fn first_overload<S: Scalar>(
+    net: &Network,
+    loads: &[S],
+    tolerance: S,
+) -> Option<FeasibilityViolation<S>> {
+    net.links().find_map(|link| {
+        let capacity = S::from_rational(link.capacity().finite()?);
+        let load = loads[link.id().index()];
+        (load > capacity + tolerance).then_some(FeasibilityViolation {
+            link: link.id(),
+            load,
+            capacity,
+        })
+    })
 }
 
 #[cfg(test)]

@@ -12,10 +12,10 @@
 //!
 //! The filling itself is the compiled waterfill's, fed weighted entries
 //! ([`WaterfillScratch::push_weighted_flow`](crate::WaterfillScratch::push_weighted_flow));
-//! this module holds the allocating wrapper and the independent weighted
-//! bottleneck certificate.
+//! this module holds the allocating wrapper and the weighted entry point
+//! of the bottleneck certificate.
 
-use clos_net::{Flow, FlowId, Network, Routing};
+use clos_net::{Flow, Network, Routing};
 use clos_rational::Scalar;
 
 use crate::{Allocation, FairnessError};
@@ -123,54 +123,7 @@ pub fn verify_weighted_bottleneck_property<S: Scalar>(
         weights.iter().all(|w| *w > S::zero()),
         "weights must be strictly positive"
     );
-    let loads = crate::link_loads(net, flows, routing, allocation);
-
-    // Feasibility.
-    for link in net.links() {
-        if let Some(cap) = link.capacity().finite() {
-            let cap = S::from_rational(cap);
-            let load = loads[link.id().index()];
-            if load > cap + tolerance {
-                return Err(crate::BottleneckViolation::Infeasible {
-                    link: link.id(),
-                    load,
-                    capacity: cap,
-                });
-            }
-        }
-    }
-
-    // Max normalized rate per link.
-    let mut max_norm = vec![S::zero(); net.link_count()];
-    for (i, path) in routing.paths().iter().enumerate() {
-        let norm = allocation.rates()[i] / weights[i];
-        for &e in path.links() {
-            let e = e.index();
-            if norm > max_norm[e] {
-                max_norm[e] = norm;
-            }
-        }
-    }
-
-    for (i, path) in routing.paths().iter().enumerate() {
-        let norm = allocation.rates()[i] / weights[i];
-        let has_bottleneck = path.links().iter().any(|&e| {
-            let link = net.link(e);
-            match link.capacity().finite() {
-                None => false,
-                Some(cap) => {
-                    let cap = S::from_rational(cap);
-                    loads[e.index()] + tolerance >= cap && norm + tolerance >= max_norm[e.index()]
-                }
-            }
-        });
-        if !has_bottleneck {
-            return Err(crate::BottleneckViolation::NoBottleneck {
-                flow: FlowId::from(i),
-            });
-        }
-    }
-    Ok(())
+    crate::bottleneck::verify_certificate(net, flows, routing, allocation, Some(weights), tolerance)
 }
 
 #[cfg(test)]

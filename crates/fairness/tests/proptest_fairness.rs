@@ -97,6 +97,37 @@ proptest! {
         ).is_err());
     }
 
+    /// The weighted twin on C_2 and C_3 with positive integer weights: the
+    /// weighted allocation verifies, and halving one flow's rate leaves
+    /// that flow without a saturated link.
+    #[test]
+    fn decreasing_a_rate_breaks_weighted_fairness(
+        (n, raw, middles) in (2usize..=3).prop_flat_map(|n| {
+            flows_and_routing(n, 10).prop_map(move |(raw, middles)| (n, raw, middles))
+        }),
+        weight_picks in prop::collection::vec(1u64..6, 10),
+        victim in 0usize..10,
+    ) {
+        use clos_fairness::{max_min_fair_weighted, verify_weighted_bottleneck_property};
+        let clos = ClosNetwork::standard(n);
+        let (flows, routing) = build(&clos, &raw, &middles);
+        let weights: Vec<Rational> = (0..flows.len())
+            .map(|i| Rational::from_integer(weight_picks[i] as i128))
+            .collect();
+        let a = max_min_fair_weighted(clos.network(), &flows, &routing, &weights).unwrap();
+        prop_assert!(verify_weighted_bottleneck_property(
+            clos.network(), &flows, &routing, &a, &weights, Rational::ZERO
+        ).is_ok());
+        let victim = victim % flows.len();
+        let mut rates = a.rates().to_vec();
+        prop_assert!(rates[victim] > Rational::ZERO);
+        rates[victim] /= Rational::TWO;
+        let perturbed = Allocation::from_rates(rates);
+        prop_assert!(verify_weighted_bottleneck_property(
+            clos.network(), &flows, &routing, &perturbed, &weights, Rational::ZERO
+        ).is_err());
+    }
+
     /// Relabeling flows relabels rates: max-min fairness does not depend on
     /// flow order (the water-filling levels are a function of the routing
     /// multiset only).

@@ -9,9 +9,7 @@
 //! load and returns immediately when it is off — no allocation, no lock,
 //! no clock read. Library callers that never call `set_enabled(true)`
 //! therefore pay one predictable-branch load per instrumented event and
-//! nothing else; this is the crate's zero-overhead-when-off guarantee
-//! (validated by the `waterfill` and `routers` benches staying within
-//! noise of their pre-instrumentation numbers).
+//! nothing else; this is the crate's zero-overhead-when-off guarantee.
 //!
 //! When enabled, counters accumulate with relaxed atomic adds and timers
 //! with one `Instant` pair per scope, so even the "on" mode is cheap

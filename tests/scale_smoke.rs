@@ -1,7 +1,7 @@
 //! Scale smoke tests: the fast (f64) pipeline handles fabric sizes well
 //! beyond the theorem instances without blowing up. These are correctness
-//! checks at size, not benchmarks — see `crates/bench/benches/` for
-//! timing.
+//! checks at size, not benchmarks — `repro`'s per-experiment wall times,
+//! `bench_search` and `bench_churn` do the timing.
 
 use clos_core::doom_switch::doom_switch;
 use clos_core::routers::{macro_demands, GreedyRouter, Router};
