@@ -26,7 +26,6 @@ use clos_rational::Scalar;
 /// assert_eq!(a.throughput(), Rational::new(3, 2));
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Allocation<S> {
     rates: Vec<S>,
 }
@@ -147,7 +146,6 @@ impl<S: Scalar> fmt::Display for Allocation<S> {
 /// assert!(fairer.sorted() > skewed.sorted());
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SortedRates<S> {
     rates: Vec<S>,
 }

@@ -31,7 +31,6 @@ use std::fmt;
 /// assert_eq!(g.max_degree(), 2);
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BipartiteMultigraph {
     left_count: usize,
     right_count: usize,

@@ -24,7 +24,6 @@ use clos_rational::Rational;
 /// assert!(Capacity::Infinite > unit);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Capacity {
     /// A finite capacity. Must be non-negative.
     Finite(Rational),

@@ -25,7 +25,6 @@ use crate::{Capacity, Flow, LinkId, Network, NodeId, NodeKind, Path};
 /// assert_eq!(p.hosts_per_tor, 3);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClosParams {
     /// Number of middle switches `n` (equivalently, paths per flow).
     pub middle_switches: usize,

@@ -28,7 +28,6 @@ use crate::{Network, NodeId, NodeKind};
 ///
 /// [`FlowId`]: crate::FlowId
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Flow {
     src: NodeId,
     dst: NodeId,

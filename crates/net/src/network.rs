@@ -13,7 +13,6 @@ use crate::{Capacity, LinkId, NodeId};
 /// end at destinations, paths traverse stages in order) can be enforced
 /// dynamically.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NodeKind {
     /// A source server `s_i^j`.
     Source,
@@ -67,7 +66,6 @@ pub fn expect_server_coords(
 
 /// A node of a [`Network`]: a server or a switch.
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Node {
     id: NodeId,
     kind: NodeKind,
@@ -96,7 +94,6 @@ impl Node {
 
 /// A directed link of a [`Network`].
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Link {
     id: LinkId,
     src: NodeId,
@@ -188,7 +185,6 @@ impl Error for TopologyError {}
 /// [`ClosNetwork`]: crate::ClosNetwork
 /// [`MacroSwitch`]: crate::MacroSwitch
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Network {
     nodes: Vec<Node>,
     links: Vec<Link>,

@@ -25,7 +25,6 @@ use crate::{Flow, LinkId, Network};
 /// assert!(p.links().len() == 4);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Path {
     links: Vec<LinkId>,
 }

@@ -25,7 +25,6 @@ use crate::{Flow, FlowId, LinkId, Network, Path, PathError};
 /// # Ok::<(), clos_net::RoutingError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Routing {
     paths: Vec<Path>,
 }

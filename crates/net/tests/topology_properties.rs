@@ -1,4 +1,4 @@
-//! Property-based and serde round-trip tests for the topology models.
+//! Property-based tests for the topology models.
 
 use clos_net::{Capacity, ClosNetwork, ClosParams, Flow, MacroSwitch, NodeKind, Path, Routing};
 use clos_rational::Rational;
@@ -121,57 +121,5 @@ proptest! {
         // Total memberships = sum of path lengths.
         let total: usize = members.iter().map(Vec::len).sum();
         prop_assert_eq!(total, routing.paths().iter().map(Path::len).sum::<usize>());
-    }
-}
-
-#[cfg(feature = "serde")]
-mod serde_round_trips {
-    use super::*;
-
-    #[test]
-    fn network_round_trips_through_json() {
-        let clos = ClosNetwork::standard(2);
-        let json = serde_json::to_string(clos.network()).unwrap();
-        let back: clos_net::Network = serde_json::from_str(&json).unwrap();
-        assert_eq!(&back, clos.network());
-    }
-
-    #[test]
-    fn flows_paths_routings_round_trip() {
-        let clos = ClosNetwork::standard(2);
-        let flows = vec![
-            Flow::new(clos.source(0, 0), clos.destination(2, 1)),
-            Flow::new(clos.source(1, 1), clos.destination(3, 0)),
-        ];
-        let routing: Routing = flows.iter().map(|&f| clos.path_via(f, 1)).collect();
-
-        let json = serde_json::to_string(&flows).unwrap();
-        let flows_back: Vec<Flow> = serde_json::from_str(&json).unwrap();
-        assert_eq!(flows_back, flows);
-
-        let json = serde_json::to_string(&routing).unwrap();
-        let routing_back: Routing = serde_json::from_str(&json).unwrap();
-        assert_eq!(routing_back, routing);
-    }
-
-    #[test]
-    fn capacity_round_trips() {
-        for cap in [
-            Capacity::unit(),
-            Capacity::Infinite,
-            Capacity::finite_value(Rational::new(7, 3)),
-        ] {
-            let json = serde_json::to_string(&cap).unwrap();
-            let back: Capacity = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, cap);
-        }
-    }
-
-    #[test]
-    fn params_round_trip() {
-        let p = ClosParams::standard(3);
-        let json = serde_json::to_string(&p).unwrap();
-        let back: ClosParams = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
     }
 }

@@ -49,7 +49,6 @@ use std::str::FromStr;
 /// assert_eq!(r.denominator(), 4);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rational {
     num: i128,
     den: i128,

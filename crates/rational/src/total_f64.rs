@@ -27,7 +27,6 @@ use crate::Rational;
 /// assert_eq!((a + a).get(), 0.5);
 /// ```
 #[derive(Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TotalF64(f64);
 
 impl TotalF64 {

@@ -30,7 +30,6 @@ use rand::{Rng, SeedableRng};
 
 /// The distribution of flow sizes (in capacity·time units).
 #[derive(Clone, Copy, PartialEq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SizeDist {
     /// Every flow has the same size.
     Fixed(f64),
@@ -85,7 +84,6 @@ impl SizeDist {
 
 /// How rates are assigned to active flows.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Transport {
     /// Max-min fair sharing (congestion control), recomputed per event.
     FairSharing,
@@ -99,7 +97,6 @@ pub enum Transport {
 
 /// Configuration of an FCT simulation run.
 #[derive(Clone, Copy, PartialEq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FctConfig {
     /// Poisson arrival rate (flows per unit time), across the whole fabric.
     pub arrival_rate: f64,
@@ -124,7 +121,6 @@ impl FctConfig {
 
 /// Aggregate results of an FCT simulation.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FctStats {
     /// Number of completed flows (always equals the configured count).
     pub completed: usize,
@@ -238,7 +234,6 @@ impl Admission {
 
 /// The fate of one simulated flow.
 #[derive(Clone, Copy, PartialEq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowRecord {
     /// Arrival time.
     pub arrival: f64,

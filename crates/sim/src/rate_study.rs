@@ -11,7 +11,6 @@ use clos_rational::TotalF64;
 /// is degraded by the fabric; above 1 it profits from other flows'
 /// degradation (e.g. matched flows under Doom-Switch).
 #[derive(Clone, Copy, PartialEq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RatioSummary {
     /// Number of flows.
     pub count: usize,

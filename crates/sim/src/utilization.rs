@@ -11,7 +11,6 @@ use clos_rational::TotalF64;
 
 /// Utilization statistics for one routed allocation, split by link tier.
 #[derive(Clone, Copy, PartialEq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UtilizationReport {
     /// Mean utilization over host (server↔ToR) links.
     pub host_mean: f64,

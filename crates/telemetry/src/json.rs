@@ -1,10 +1,10 @@
 //! A dependency-free JSON value: encoder and strict parser.
 //!
-//! This is the serialization backend for [`ExperimentRecord`] when the
-//! `serde` feature is off (and the reference implementation the serde
-//! derives are checked against). It supports exactly the JSON the
-//! workspace emits: UTF-8 text, objects with insertion-ordered keys,
-//! finite numbers (non-finite floats encode as `null`).
+//! This is the workspace's only JSON encoder and parser: experiment
+//! reports ([`ExperimentRecord`]), bench reports and Chrome traces all go
+//! through it. It supports exactly the JSON the workspace emits: UTF-8
+//! text, objects with insertion-ordered keys, finite numbers (non-finite
+//! floats encode as `null`).
 //!
 //! [`ExperimentRecord`]: crate::ExperimentRecord
 

@@ -34,10 +34,8 @@
 //! [`ExperimentRecord`] is the schema of one JSON-Lines record per
 //! experiment (id, parameters, wall time, counter deltas, key results,
 //! audit verdicts). It serializes through the dependency-free encoder in
-//! [`json`] ([`ExperimentRecord::to_json_line`]) and, with the `serde`
-//! feature (default), also derives `serde::Serialize`/`Deserialize`
-//! producing the identical structure, so downstream tooling can use
-//! either path.
+//! [`json`] ([`ExperimentRecord::to_json_line`]) and parses back with
+//! [`ExperimentRecord::from_json_line`].
 //!
 //! # Examples
 //!

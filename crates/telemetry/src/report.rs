@@ -9,7 +9,6 @@ use crate::json::{JsonError, JsonValue};
 ///
 /// [`RoutingAudit`]: https://docs.rs/clos-core
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AuditVerdict {
     /// What was checked (e.g. `"routing 1 bounds"`).
     pub check: String,
@@ -20,9 +19,7 @@ pub struct AuditVerdict {
 /// One JSON-Lines record describing a completed experiment.
 ///
 /// Map-valued fields use `BTreeMap` so the field order — and therefore the
-/// emitted JSON — is deterministic, and so the hand-rolled encoder
-/// ([`to_json_line`]) and the `serde` derives produce the identical
-/// document.
+/// JSON that [`to_json_line`] emits — is deterministic.
 ///
 /// # Examples
 ///
@@ -43,7 +40,6 @@ pub struct AuditVerdict {
 ///
 /// [`to_json_line`]: ExperimentRecord::to_json_line
 #[derive(Clone, PartialEq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExperimentRecord {
     /// Record discriminator; always `"experiment"`.
     pub record: String,
@@ -170,8 +166,7 @@ impl ExperimentRecord {
     }
 
     /// Parses a record back from a JSON-Lines line produced by
-    /// [`to_json_line`](Self::to_json_line) (or by serde; the documents
-    /// are identical).
+    /// [`to_json_line`](Self::to_json_line).
     ///
     /// # Errors
     ///
@@ -385,18 +380,38 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "serde")]
+    /// The exact bytes of one record, committed: the float format, each
+    /// escape class, UTF-8 pass-through and the field order are pinned
+    /// here, not checked against a second encoder.
     #[test]
-    fn serde_round_trips_and_matches_own_encoder() {
-        let rec = sample();
-        // serde → serde.
-        let serde_line = serde_json::to_string(&rec).unwrap();
-        let back: ExperimentRecord = serde_json::from_str(&serde_line).unwrap();
-        assert_eq!(back, rec);
-        // Own encoder → serde, and the two documents are identical.
-        let own_line = rec.to_json_line();
-        let back: ExperimentRecord = serde_json::from_str(&own_line).unwrap();
-        assert_eq!(back, rec);
-        assert_eq!(own_line, serde_line);
+    fn golden_line_is_byte_exact_and_parses_back() {
+        let mut rec = ExperimentRecord::new(
+            "e4",
+            "Starvation \"doom\" path C:\\fabric\t\u{1b}: rate → 1/n ≤ ½",
+        );
+        rec.quick = true;
+        // Below 1e-4 `{:?}` switches to exponent form, so this pins the
+        // float format, not only the digits.
+        rec.wall_ms = 0.000_015;
+        rec.param("n", "4");
+        rec.param("sizes", "[2, 3]");
+        rec.set_counters(vec![
+            ("waterfill.rounds".to_string(), 7),
+            ("search.assignments".to_string(), 81),
+        ]);
+        rec.result("starvation_factor", "1/4");
+        rec.audit("factor <= 1/n", true);
+        rec.audit("T >= T^MT", false);
+        let golden = concat!(
+            r#"{"record":"experiment","id":"e4","#,
+            r#""title":"Starvation \"doom\" path C:\\fabric\t\u001b: rate → 1/n ≤ ½","#,
+            r#""quick":true,"wall_ms":1.5e-5,"params":{"n":"4","sizes":"[2, 3]"},"#,
+            r#""counters":{"search.assignments":81,"waterfill.rounds":7},"#,
+            r#""results":{"starvation_factor":"1/4"},"#,
+            r#""audits":[{"check":"factor <= 1/n","pass":true},"#,
+            r#"{"check":"T >= T^MT","pass":false}],"pass":false}"#,
+        );
+        assert_eq!(rec.to_json_line(), golden);
+        assert_eq!(ExperimentRecord::from_json_line(golden).unwrap(), rec);
     }
 }

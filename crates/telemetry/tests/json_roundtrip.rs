@@ -1,6 +1,5 @@
 //! Property tests: arbitrary JSON values and experiment records survive a
-//! round trip through the hand-rolled encoder/parser, and (with the
-//! `serde` feature) the hand-rolled document is byte-identical to serde's.
+//! round trip through the hand-rolled encoder/parser.
 
 use clos_telemetry::json::JsonValue;
 use clos_telemetry::ExperimentRecord;
@@ -30,10 +29,7 @@ fn arb_record() -> impl Strategy<Value = ExperimentRecord> {
         "e[0-9]{1,2}",
         ".*",
         any::<bool>(),
-        // Realistic wall times (milliseconds with microsecond resolution),
-        // where the std and Ryu shortest-float formats coincide.
-        (0u32..=86_400_000, 0u32..1000)
-            .prop_map(|(ms, frac)| f64::from(ms) + f64::from(frac) / 1000.0),
+        any::<f64>().prop_filter("finite", |x| x.is_finite()),
         prop::collection::btree_map("[a-z_]{1,8}", ".*", 0..4),
         prop::collection::btree_map("[a-z_.]{1,12}", any::<u64>(), 0..4),
         prop::collection::btree_map("[a-z_]{1,8}", ".*", 0..4),
@@ -71,15 +67,5 @@ proptest! {
         prop_assert!(!line.contains('\n'));
         let parsed = ExperimentRecord::from_json_line(&line).expect("schema round-trip");
         prop_assert_eq!(parsed, rec);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn record_round_trips_through_serde(rec in arb_record()) {
-        let own_line = rec.to_json_line();
-        let serde_line = serde_json::to_string(&rec).expect("serializable");
-        prop_assert_eq!(&own_line, &serde_line);
-        let back: ExperimentRecord = serde_json::from_str(&own_line).expect("deserializable");
-        prop_assert_eq!(back, rec);
     }
 }

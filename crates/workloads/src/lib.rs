@@ -43,7 +43,6 @@ use rand::{Rng, SeedableRng};
 /// See the [crate docs](crate) for the catalogue. Generation is
 /// deterministic in the seed so experiment tables are reproducible.
 #[derive(Clone, Copy, PartialEq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Workload {
     /// `flows` independent uniformly random source–destination pairs.
     UniformRandom {
