@@ -1,29 +1,27 @@
 //! `bench_compare` — diff fresh bench reports against checked-in
 //! baselines and fail on regression.
 //!
-//! The perf observatory's gate: `bench_search` and `bench_churn` write
-//! reports, this binary diffs them against the versioned baselines
-//! under `benches/baselines/` and exits nonzero when any comparison
-//! finds a regression. The schema key of each document pair selects
-//! the comparison: `bench_search/*` reports compare instance/objective
-//! rows and the eval pipeline, `bench_churn/*` reports compare
-//! scenario/policy/batch rows. Metrics split into two classes:
+//! The perf observatory's gate: `bench_search`, `bench_churn` and
+//! `bench_lint` write reports, this binary diffs them against the
+//! versioned baselines under `benches/baselines/` and exits nonzero when
+//! any comparison finds a regression. One rule walks every report:
 //!
-//! * **exact** — engine counts that are deterministic for any thread
-//!   count (`routings_examined`, `pruned`, `improvements`, the
-//!   `--profile` histograms and provenance counters, the eval-pipeline
-//!   `evals` and `steady_state_allocations`). Any difference is a
-//!   behavioural change, not noise, and fails the comparison outright.
-//! * **noisy** — wall-clock-derived numbers (`wall_ms`,
-//!   `evals_per_sec`, the speedup ratios). These regress only beyond
-//!   `--tolerance` (default 0.15, i.e. 15%), and `--skip-wall` drops
-//!   them entirely for cross-machine comparisons where the baseline's
-//!   absolute timings are meaningless.
+//! * objects compare key by key, labelled by their dotted path; arrays
+//!   of objects are rows, matched and labelled by their identity fields
+//!   (`instance`, `objective`, `scenario`, `policy`, `batch`) joined
+//!   with `/`; run-configuration keys (`tuned_threads`, `reps`,
+//!   `stable`) are skipped, and `schema` drift is noted;
+//! * **noisy** — `wall_ms` (lower is better) and names ending `_per_sec`
+//!   or starting `speedup_` (higher is better) regress only beyond
+//!   `--tolerance` (default 0.15, i.e. 15%); `--skip-wall` drops them
+//!   for cross-machine comparisons, and a timing of exactly 0 (a
+//!   `--stable` report) was never measured and is skipped;
+//! * **exact** — every other value (engine counts, histograms,
+//!   checksums). Any difference is a behavioural change and fails.
 //!
-//! A row present in the baseline but missing from the current report is
-//! a coverage regression and fails; extra current rows are reported and
-//! allowed (they become exact metrics once the baseline is refreshed).
-//! Noisy metrics that *improve* beyond tolerance are flagged as
+//! A key or row of the baseline missing from the current report fails;
+//! one only in the current report is noted (refreshing the baseline
+//! gates it). Noisy metrics that *improve* beyond tolerance are flagged
 //! `improved` without failing — refresh the baseline to lock them in.
 //!
 //! Usage:
@@ -39,6 +37,7 @@
 //! if any pair regresses.
 
 use std::fs;
+use std::num::FpCategory;
 use std::process::ExitCode;
 
 use clos_telemetry::json::JsonValue;
@@ -114,7 +113,7 @@ enum Verdict {
     Regression,
     /// Exact metric differs — fails the run.
     Mismatch,
-    /// Skipped (`--skip-wall`), or absent from one side.
+    /// Skipped (`--skip-wall`, or never measured).
     Skipped,
 }
 
@@ -189,46 +188,52 @@ impl Comparison {
         });
     }
 
-    /// Compares an exact metric: any difference is a mismatch. Absent on
-    /// both sides is fine (e.g. `--profile` off in both runs); absent on
-    /// exactly one side is a mismatch — the reports disagree on shape.
-    fn exact(&mut self, metric: &str, base: Option<&JsonValue>, curr: Option<&JsonValue>) {
-        match (base, curr) {
-            (None, None) => {}
-            (Some(b), Some(c)) => {
-                let verdict = if b == c {
-                    Verdict::Ok
-                } else {
-                    Verdict::Mismatch
-                };
-                self.push(metric, fmt_value(b), fmt_value(c), verdict);
-            }
-            (b, c) => {
-                let show =
-                    |v: Option<&JsonValue>| v.map_or_else(|| "absent".to_string(), fmt_value);
-                self.push(metric, show(b), show(c), Verdict::Mismatch);
-            }
-        }
+    /// Compares an exact metric: any difference is a mismatch.
+    fn exact(&mut self, metric: &str, base: &JsonValue, curr: &JsonValue) {
+        let verdict = if base == curr {
+            Verdict::Ok
+        } else {
+            Verdict::Mismatch
+        };
+        self.push(metric, fmt_value(base), fmt_value(curr), verdict);
+    }
+
+    /// A baseline key or row the current report lacks: a coverage
+    /// regression.
+    fn missing(&mut self, label: &str) {
+        self.push(
+            label,
+            "present".to_string(),
+            "missing".to_string(),
+            Verdict::Mismatch,
+        );
+    }
+
+    /// A current key or row the baseline lacks: allowed, and gated once
+    /// the baseline is refreshed.
+    fn added(&mut self, label: &str) {
+        self.notes.push(format!(
+            "current report adds {label} not in the baseline — refresh the baseline to gate it"
+        ));
     }
 
     /// Compares a noisy metric. `higher_is_better` flips the direction:
     /// `wall_ms` regresses upward, `evals_per_sec` regresses downward.
-    fn noisy(
-        &mut self,
-        metric: &str,
-        base: Option<&JsonValue>,
-        curr: Option<&JsonValue>,
-        higher_is_better: bool,
-    ) {
-        let (Some(b), Some(c)) = (base.and_then(as_f64), curr.and_then(as_f64)) else {
-            // A noisy metric missing from either side is not a
-            // behavioural signal; note it and move on.
-            if base.is_some() || curr.is_some() {
-                self.push(metric, "?".to_string(), "?".to_string(), Verdict::Skipped);
-            }
+    fn noisy(&mut self, metric: &str, base: &JsonValue, curr: &JsonValue, higher_is_better: bool) {
+        let (Some(b), Some(c)) = (as_f64(base), as_f64(curr)) else {
+            // A noisy name carrying a non-number is not a timing.
+            self.push(metric, "?".to_string(), "?".to_string(), Verdict::Skipped);
             return;
         };
-        if self.skip_wall {
+        // A timing of exactly 0 was never measured (a `--stable` report
+        // zeroes its wall-derived fields): no relative change exists.
+        let unmeasured = [b, c].iter().any(|x| x.classify() == FpCategory::Zero);
+        if self.skip_wall || unmeasured {
+            if !self.skip_wall {
+                self.notes.push(format!(
+                    "{metric}: a report carries 0 (never measured, e.g. --stable) — not gated"
+                ));
+            }
             self.push(
                 metric,
                 format!("{b:.3}"),
@@ -237,12 +242,9 @@ impl Comparison {
             );
             return;
         }
+        let change = (c - b) / b.abs();
         // Relative change in the "bigger is worse" orientation.
-        let worsening = if higher_is_better {
-            (b - c) / b.abs().max(1e-12)
-        } else {
-            (c - b) / b.abs().max(1e-12)
-        };
+        let worsening = if higher_is_better { -change } else { change };
         let verdict = if worsening > self.tolerance {
             Verdict::Regression
         } else if worsening < -self.tolerance {
@@ -250,62 +252,18 @@ impl Comparison {
         } else {
             Verdict::Ok
         };
-        let signed = (c - b) / b.abs().max(1e-12) * 100.0;
         self.deltas.push(Delta {
             metric: metric.to_string(),
             baseline: format!("{b:.3}"),
             current: format!("{c:.3}"),
-            delta: format!("{signed:+.1}%"),
+            delta: format!("{:+.1}%", change * 100.0),
             verdict,
         });
     }
 
-    /// Compares one configuration object (`baseline` / `prune` /
-    /// `tuned`) of one instance row.
-    fn config(&mut self, prefix: &str, base: &JsonValue, curr: &JsonValue) {
-        for key in ["routings_examined", "pruned", "improvements"] {
-            self.exact(&format!("{prefix}.{key}"), base.get(key), curr.get(key));
-        }
-        self.noisy(
-            &format!("{prefix}.wall_ms"),
-            base.get("wall_ms"),
-            curr.get("wall_ms"),
-            false,
-        );
-        self.noisy(
-            &format!("{prefix}.evals_per_sec"),
-            base.get("evals_per_sec"),
-            curr.get("evals_per_sec"),
-            true,
-        );
-        // Profile counters are exact engine counts; compare whenever
-        // both runs recorded them. `sampled_branches` depends on the
-        // `trace_sample` knob, not engine behaviour, so it is exempt.
-        if let (Some(bp), Some(cp)) = (base.get("profile"), curr.get("profile")) {
-            for key in [
-                "depth_nodes",
-                "depth_pruned",
-                "depth_improvements",
-                "symmetry_skipped",
-                "bound_pruned",
-                "root_pruned",
-                "blocks_exhausted",
-                "proven_blocks",
-                "blocks_skipped",
-            ] {
-                self.exact(&format!("{prefix}.profile.{key}"), bp.get(key), cp.get(key));
-            }
-        } else if base.get("profile").is_some() != curr.get("profile").is_some() {
-            self.notes.push(format!(
-                "{prefix}: profile present in only one report — run both with --profile \
-                 to gate the histograms"
-            ));
-        }
-    }
-
-    /// Compares two whole reports, dispatching on the schema family:
-    /// `bench_churn/*` documents compare scenario rows, everything else
-    /// takes the `bench_search` instance-row path.
+    /// Compares two whole reports: the `schema` key first (drift is
+    /// noted, a missing schema is a mismatch), then everything else by
+    /// the one rule of [`Comparison::object`].
     fn documents(&mut self, base: &JsonValue, curr: &JsonValue) {
         match (base.get("schema"), curr.get("schema")) {
             (Some(b), Some(c)) if b != c => {
@@ -321,220 +279,66 @@ impl Comparison {
                 Verdict::Mismatch,
             ),
         }
-        let family = |prefix: &str| {
-            base.get("schema")
-                .and_then(as_str)
-                .is_some_and(|s| s.starts_with(prefix))
-        };
-        if family("bench_churn/") {
-            self.churn_documents(base, curr);
-            return;
-        }
-        if family("bench_lint/") {
-            self.lint_documents(base, curr);
-            return;
-        }
-
-        let empty = Vec::new();
-        let rows = |doc: &JsonValue| -> Vec<JsonValue> {
-            match doc.get("instances") {
-                Some(JsonValue::Array(items)) => items.clone(),
-                _ => empty.clone(),
-            }
-        };
-        let key = |row: &JsonValue| -> String {
-            format!(
-                "{}/{}",
-                row.get("instance").and_then(as_str).unwrap_or_default(),
-                row.get("objective").and_then(as_str).unwrap_or_default()
-            )
-        };
-        let base_rows = rows(base);
-        let curr_rows = rows(curr);
-        for brow in &base_rows {
-            let k = key(brow);
-            let Some(crow) = curr_rows.iter().find(|r| key(r) == k) else {
-                self.push(
-                    &k,
-                    "present".to_string(),
-                    "missing".to_string(),
-                    Verdict::Mismatch,
-                );
-                continue;
-            };
-            self.exact(&format!("{k}.flows"), brow.get("flows"), crow.get("flows"));
-            for config in ["baseline", "prune", "tuned"] {
-                if let (Some(bc), Some(cc)) = (brow.get(config), crow.get(config)) {
-                    self.config(&format!("{k}.{config}"), bc, cc);
-                } else {
-                    self.push(
-                        &format!("{k}.{config}"),
-                        "?".to_string(),
-                        "?".to_string(),
-                        Verdict::Mismatch,
-                    );
-                }
-            }
-            for ratio in ["speedup_prune", "speedup_total"] {
-                self.noisy(
-                    &format!("{k}.{ratio}"),
-                    brow.get(ratio),
-                    crow.get(ratio),
-                    true,
-                );
-            }
-        }
-        for crow in &curr_rows {
-            let k = key(crow);
-            if !base_rows.iter().any(|r| key(r) == k) {
-                self.notes.push(format!(
-                    "current report adds row {k} not in the baseline — refresh the \
-                     baseline to gate it"
-                ));
-            }
-        }
-
-        match (base.get("eval_pipeline"), curr.get("eval_pipeline")) {
-            (Some(be), Some(ce)) => {
-                self.exact("eval_pipeline.evals", be.get("evals"), ce.get("evals"));
-                self.exact(
-                    "eval_pipeline.steady_state_allocations",
-                    be.get("steady_state_allocations"),
-                    ce.get("steady_state_allocations"),
-                );
-                self.noisy(
-                    "eval_pipeline.wall_ms",
-                    be.get("wall_ms"),
-                    ce.get("wall_ms"),
-                    false,
-                );
-                self.noisy(
-                    "eval_pipeline.evals_per_sec",
-                    be.get("evals_per_sec"),
-                    ce.get("evals_per_sec"),
-                    true,
-                );
-            }
-            (None, None) => {}
-            _ => self.push(
-                "eval_pipeline",
-                "?".to_string(),
-                "?".to_string(),
-                Verdict::Mismatch,
-            ),
-        }
+        self.object("", base, curr, &[]);
     }
 
-    /// Compares two `bench_churn/*` reports: scenario rows keyed by
-    /// scenario/policy/batch, engine counters and the rate checksum
-    /// exact, wall-derived throughput noisy.
-    fn churn_documents(&mut self, base: &JsonValue, curr: &JsonValue) {
-        let rows = |doc: &JsonValue| -> Vec<JsonValue> {
-            match doc.get("scenarios") {
-                Some(JsonValue::Array(items)) => items.clone(),
-                _ => Vec::new(),
-            }
-        };
-        let key = |row: &JsonValue| -> String {
-            format!(
-                "{}/{}/b{}",
-                row.get("scenario").and_then(as_str).unwrap_or_default(),
-                row.get("policy").and_then(as_str).unwrap_or_default(),
-                row.get("batch").map(fmt_value).unwrap_or_default()
-            )
-        };
-        let base_rows = rows(base);
-        let curr_rows = rows(curr);
-        for brow in &base_rows {
-            let k = key(brow);
-            let Some(crow) = curr_rows.iter().find(|r| key(r) == k) else {
-                self.push(
-                    &k,
-                    "present".to_string(),
-                    "missing".to_string(),
-                    Verdict::Mismatch,
-                );
+    /// Compares two objects key by key, labelling each metric by its
+    /// dotted path under `prefix`. Keys in `matched` (a row's identity
+    /// fields, already equal by matching) and [`UNCOMPARED_KEYS`] are
+    /// passed over. Nested objects recurse; arrays of objects are rows,
+    /// matched by [`row_key`]; noisy names (see [`noisy_direction`])
+    /// gate within tolerance; every other value is exact. A baseline
+    /// key missing from the current report is a mismatch, a key only in
+    /// the current report is a note.
+    fn object(&mut self, prefix: &str, base: &JsonValue, curr: &JsonValue, matched: &[&str]) {
+        let compared = |key: &str| !UNCOMPARED_KEYS.contains(&key) && !matched.contains(&key);
+        for (key, b) in entries(base).iter().filter(|(k, _)| compared(k)) {
+            let label = join(prefix, key);
+            let Some(c) = curr.get(key) else {
+                self.missing(&label);
                 continue;
             };
-            for metric in [
-                "n",
-                "events",
-                "arrivals",
-                "departures",
-                "epochs",
-                "peak_concurrent",
-                "final_live",
-                "recomputed_flows",
-                "recomputed_paths",
-                "reused_flows",
-                "rate_checksum",
-            ] {
-                self.exact(&format!("{k}.{metric}"), brow.get(metric), crow.get(metric));
+            if let Some(higher_is_better) = noisy_direction(key) {
+                self.noisy(&label, b, c, higher_is_better);
+                continue;
             }
-            self.noisy(
-                &format!("{k}.wall_ms"),
-                brow.get("wall_ms"),
-                crow.get("wall_ms"),
-                false,
-            );
-            self.noisy(
-                &format!("{k}.events_per_sec"),
-                brow.get("events_per_sec"),
-                crow.get("events_per_sec"),
-                true,
-            );
+            match (b, c) {
+                (JsonValue::Object(_), JsonValue::Object(_)) => self.object(&label, b, c, &[]),
+                (JsonValue::Array(bs), JsonValue::Array(cs))
+                    if bs
+                        .iter()
+                        .chain(cs)
+                        .all(|v| matches!(v, JsonValue::Object(_))) =>
+                {
+                    self.rows(prefix, bs, cs);
+                }
+                _ => self.exact(&label, b, c),
+            }
         }
-        for crow in &curr_rows {
-            let k = key(crow);
-            if !base_rows.iter().any(|r| key(r) == k) {
-                self.notes.push(format!(
-                    "current report adds scenario {k} not in the baseline — refresh the \
-                     baseline to gate it"
-                ));
+        for (key, _) in entries(curr).iter().filter(|(k, _)| compared(k)) {
+            if base.get(key).is_none() {
+                self.added(&join(prefix, key));
             }
         }
     }
 
-    /// Compares two `bench_lint/*` reports: workspace coverage,
-    /// surviving-diagnostic and allowlist-suppression counts, and the
-    /// per-rule tallies are exact (any drift is a linter behaviour
-    /// change or new debt); the full-pass wall time is noisy.
-    fn lint_documents(&mut self, base: &JsonValue, curr: &JsonValue) {
-        for metric in ["files_scanned", "diagnostics", "suppressed"] {
-            self.exact(
-                &format!("lint.{metric}"),
-                base.get(metric),
-                curr.get(metric),
-            );
-        }
-        match (base.get("rules"), curr.get("rules")) {
-            (Some(JsonValue::Object(b)), Some(JsonValue::Object(c))) => {
-                for (key, bv) in b {
-                    let cv = c.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-                    self.exact(&format!("lint.rules.{key}"), Some(bv), cv);
-                }
-                for (key, _) in c {
-                    if !b.iter().any(|(k, _)| k == key) {
-                        self.notes.push(format!(
-                            "current report adds rule {key} not in the baseline — refresh \
-                             the baseline to gate it"
-                        ));
-                    }
-                }
+    /// Compares two arrays of rows: each baseline row pairs with the
+    /// current row of the same [`row_key`] and is labelled by that key
+    /// under `prefix`. A baseline row with no partner is a coverage
+    /// mismatch; a current row with none is a note.
+    fn rows(&mut self, prefix: &str, base: &[JsonValue], curr: &[JsonValue]) {
+        for b in base {
+            let label = join(prefix, &row_key(b));
+            match curr.iter().find(|c| row_key(c) == row_key(b)) {
+                Some(c) => self.object(&label, b, c, &ROW_KEYS),
+                None => self.missing(&label),
             }
-            _ => self.push(
-                "lint.rules",
-                "?".to_string(),
-                "?".to_string(),
-                Verdict::Mismatch,
-            ),
         }
-        self.noisy(
-            "lint.wall_ms",
-            base.get("wall_ms"),
-            curr.get("wall_ms"),
-            false,
-        );
+        for c in curr {
+            if !base.iter().any(|b| row_key(b) == row_key(c)) {
+                self.added(&join(prefix, &row_key(c)));
+            }
+        }
     }
 
     fn failed(&self) -> bool {
@@ -542,10 +346,53 @@ impl Comparison {
     }
 }
 
-fn as_str(v: &JsonValue) -> Option<String> {
+/// Keys that describe how a report was produced, not what the engine
+/// did: never compared. `schema` is checked once by
+/// [`Comparison::documents`].
+const UNCOMPARED_KEYS: [&str; 4] = ["schema", "tuned_threads", "reps", "stable"];
+
+/// Identity fields of a report row (`bench_search` instance rows,
+/// `bench_churn` scenario rows); rows match across reports by the values
+/// of the ones they carry.
+const ROW_KEYS: [&str; 5] = ["instance", "objective", "scenario", "policy", "batch"];
+
+/// The noisy-name rule: `Some(higher_is_better)` for a wall-clock-derived
+/// metric, `None` for an exact one.
+fn noisy_direction(key: &str) -> Option<bool> {
+    if key == "wall_ms" {
+        Some(false)
+    } else if key.ends_with("_per_sec") || key.starts_with("speedup_") {
+        Some(true)
+    } else {
+        None
+    }
+}
+
+fn entries(v: &JsonValue) -> &[(String, JsonValue)] {
     match v {
-        JsonValue::Str(s) => Some(s.clone()),
-        _ => None,
+        JsonValue::Object(entries) => entries,
+        _ => &[],
+    }
+}
+
+/// A row's identity: its [`ROW_KEYS`] values joined with `/`.
+fn row_key(row: &JsonValue) -> String {
+    ROW_KEYS
+        .iter()
+        .filter_map(|key| row.get(key))
+        .map(|v| match v {
+            JsonValue::Str(s) => s.clone(),
+            other => other.to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join("/")
+}
+
+fn join(prefix: &str, name: &str) -> String {
+    if prefix.is_empty() {
+        name.to_string()
+    } else {
+        format!("{prefix}.{name}")
     }
 }
 
@@ -622,7 +469,7 @@ mod tests {
     /// A minimal synthetic report with one row and an eval pipeline.
     fn report(examined: u64, wall_ms: f64, rate: f64) -> JsonValue {
         JsonValue::parse(&format!(
-            r#"{{"schema":"bench_search/v3","tuned_threads":4,"reps":3,
+            r#"{{"schema":"bench_search/v4","tuned_threads":4,"reps":3,
                 "instances":[{{"instance":"hot3","objective":"lex","n":3,"flows":9,
                   "baseline":{{"wall_ms":{wall_ms},"routings_examined":{examined},
                     "pruned":0,"improvements":3,"evals_per_sec":{rate}}},
@@ -695,17 +542,94 @@ mod tests {
     #[test]
     fn missing_row_is_a_coverage_mismatch() {
         let base = report(100, 10.0, 1000.0);
-        let mut curr = report(100, 10.0, 1000.0);
-        if let JsonValue::Object(entries) = &mut curr {
-            for (k, v) in entries.iter_mut() {
-                if k == "instances" {
-                    *v = JsonValue::Array(Vec::new());
-                }
-            }
-        }
+        let curr = with(&base, "instances", JsonValue::Array(Vec::new()));
         let mut cmp = Comparison::new(0.15, false);
         cmp.documents(&base, &curr);
         assert!(cmp.failed());
+    }
+
+    /// `doc` with its top-level `key` set to `value`.
+    fn with(doc: &JsonValue, key: &str, value: JsonValue) -> JsonValue {
+        let mut doc = doc.clone();
+        if let JsonValue::Object(entries) = &mut doc {
+            for (k, v) in entries.iter_mut() {
+                if k == key {
+                    *v = value.clone();
+                }
+            }
+        }
+        doc
+    }
+
+    #[test]
+    fn run_configuration_differences_pass() {
+        // CI's runner and the baseline's builder differ in core count.
+        let base = report(100, 10.0, 1000.0);
+        let curr = with(&base, "tuned_threads", JsonValue::Int(2));
+        let curr = with(&curr, "reps", JsonValue::Int(5));
+        let mut cmp = Comparison::new(0.15, true);
+        cmp.documents(&base, &curr);
+        assert!(!cmp.failed());
+        assert!(cmp
+            .deltas
+            .iter()
+            .all(|d| d.metric != "tuned_threads" && d.metric != "reps"));
+    }
+
+    #[test]
+    fn unlisted_field_drift_fails() {
+        // No metric list names `seed` or a row's `n`: the one rule gates
+        // them anyway.
+        let base = report(100, 10.0, 1000.0);
+        let mut curr = base.clone();
+        if let Some(JsonValue::Array(rows)) = curr.get("instances").cloned() {
+            let mut row = rows[0].clone();
+            if let JsonValue::Object(entries) = &mut row {
+                for (k, v) in entries.iter_mut() {
+                    if k == "n" {
+                        *v = JsonValue::Int(4);
+                    }
+                }
+            }
+            curr = with(&curr, "instances", JsonValue::Array(vec![row]));
+        }
+        let mut cmp = Comparison::new(0.15, true);
+        cmp.documents(&base, &curr);
+        assert!(cmp
+            .deltas
+            .iter()
+            .any(|d| d.verdict == Verdict::Mismatch && d.metric == "hot3/lex.n"));
+
+        let churn = churn_report("63c29866f6b133bc", 2200.0, 180000.0);
+        let mut cmp = Comparison::new(0.15, true);
+        cmp.documents(&churn, &with(&churn, "seed", JsonValue::Int(7)));
+        assert!(cmp
+            .deltas
+            .iter()
+            .any(|d| d.verdict == Verdict::Mismatch && d.metric == "seed"));
+    }
+
+    #[test]
+    fn rows_in_a_different_order_still_match() {
+        let rows = |order: [u64; 2]| {
+            JsonValue::parse(&format!(
+                r#"{{"schema":"bench_churn/v1","scenarios":[
+                    {{"scenario":"c3","policy":"greedy","batch":{},"epochs":{}}},
+                    {{"scenario":"c3","policy":"greedy","batch":{},"epochs":{}}}]}}"#,
+                order[0], order[0], order[1], order[1]
+            ))
+            .expect("synthetic churn report parses")
+        };
+        let mut cmp = Comparison::new(0.15, true);
+        cmp.documents(&rows([1, 2048]), &rows([2048, 1]));
+        assert!(!cmp.failed());
+        assert!(cmp.notes.is_empty());
+        for label in ["c3/greedy/1.epochs", "c3/greedy/2048.epochs"] {
+            assert!(cmp
+                .deltas
+                .iter()
+                .any(|d| d.verdict == Verdict::Ok && d.metric == label));
+        }
     }
 
     /// A minimal synthetic churn report with one scenario row.
@@ -731,7 +655,7 @@ mod tests {
         assert!(cmp
             .deltas
             .iter()
-            .any(|d| d.metric.contains("c4/greedy/b2048")));
+            .any(|d| d.metric.contains("c4/greedy/2048")));
     }
 
     #[test]
@@ -765,17 +689,28 @@ mod tests {
     #[test]
     fn churn_missing_scenario_is_a_coverage_mismatch() {
         let base = churn_report("63c29866f6b133bc", 2200.0, 180000.0);
-        let mut curr = churn_report("63c29866f6b133bc", 2200.0, 180000.0);
-        if let JsonValue::Object(entries) = &mut curr {
-            for (k, v) in entries.iter_mut() {
-                if k == "scenarios" {
-                    *v = JsonValue::Array(Vec::new());
-                }
-            }
-        }
+        let curr = with(&base, "scenarios", JsonValue::Array(Vec::new()));
         let mut cmp = Comparison::new(0.15, false);
         cmp.documents(&base, &curr);
         assert!(cmp.failed());
+    }
+
+    #[test]
+    fn zero_baseline_timing_is_skipped_not_gated() {
+        // A `--stable` baseline (walls zeroed) against a timed run.
+        let mut cmp = Comparison::new(0.15, false);
+        cmp.documents(
+            &churn_report("63c29866f6b133bc", 0.0, 0.0),
+            &churn_report("63c29866f6b133bc", 49.5, 180000.0),
+        );
+        assert!(!cmp.failed());
+        for metric in ["c4/greedy/2048.wall_ms", "c4/greedy/2048.events_per_sec"] {
+            assert!(cmp
+                .deltas
+                .iter()
+                .any(|d| d.verdict == Verdict::Skipped && d.metric == metric));
+        }
+        assert!(!cmp.notes.is_empty());
     }
 
     /// A minimal synthetic lint-timing report.
@@ -795,7 +730,7 @@ mod tests {
         let mut cmp = Comparison::new(0.15, false);
         cmp.documents(&doc, &doc);
         assert!(!cmp.failed());
-        assert!(cmp.deltas.iter().any(|d| d.metric == "lint.suppressed"));
+        assert!(cmp.deltas.iter().any(|d| d.metric == "suppressed"));
     }
 
     #[test]
@@ -806,7 +741,7 @@ mod tests {
         assert!(cmp
             .deltas
             .iter()
-            .any(|d| d.verdict == Verdict::Mismatch && d.metric == "lint.suppressed"));
+            .any(|d| d.verdict == Verdict::Mismatch && d.metric == "suppressed"));
     }
 
     #[test]
@@ -817,7 +752,7 @@ mod tests {
         assert!(cmp
             .deltas
             .iter()
-            .any(|d| d.verdict == Verdict::Mismatch && d.metric == "lint.rules.L10"));
+            .any(|d| d.verdict == Verdict::Mismatch && d.metric == "rules.L10"));
     }
 
     #[test]
@@ -838,16 +773,43 @@ mod tests {
                     "improvements":1,"evals_per_sec":100.0,
                     "profile":{{"depth_nodes":{nodes},"depth_pruned":[0,2],
                       "depth_improvements":[1,0],"symmetry_skipped":4,
-                      "bound_pruned":2,"root_pruned":0,"blocks_exhausted":1,
-                      "sampled_branches":0}}}}"#
+                      "bound_pruned":2,"root_pruned":0,"blocks_exhausted":1}}}}"#
             ))
             .expect("synthetic config parses")
         };
         let mut cmp = Comparison::new(0.15, true);
-        cmp.config("row.tuned", &with_profile("[1,3]"), &with_profile("[1,3]"));
+        cmp.object(
+            "row.tuned",
+            &with_profile("[1,3]"),
+            &with_profile("[1,3]"),
+            &[],
+        );
         assert!(!cmp.failed());
         let mut cmp = Comparison::new(0.15, true);
-        cmp.config("row.tuned", &with_profile("[1,3]"), &with_profile("[1,4]"));
+        cmp.object(
+            "row.tuned",
+            &with_profile("[1,3]"),
+            &with_profile("[1,4]"),
+            &[],
+        );
         assert!(cmp.failed());
+    }
+
+    #[test]
+    fn key_missing_from_current_fails_extra_key_is_a_note() {
+        let full = report(100, 10.0, 1000.0);
+        let mut plain = full.clone();
+        if let JsonValue::Object(entries) = &mut plain {
+            entries.retain(|(k, _)| k != "eval_pipeline");
+        }
+        // A key the baseline has and the current report lacks fails; the
+        // reverse is only a note.
+        let mut cmp = Comparison::new(0.15, true);
+        cmp.documents(&full, &plain);
+        assert!(cmp.failed());
+        let mut cmp = Comparison::new(0.15, true);
+        cmp.documents(&plain, &full);
+        assert!(!cmp.failed());
+        assert!(cmp.notes.iter().any(|n| n.contains("eval_pipeline")));
     }
 }

@@ -304,10 +304,6 @@ fn profile_json(p: &SearchProfile) -> JsonValue {
             "blocks_skipped".to_string(),
             JsonValue::from(p.blocks_skipped),
         ),
-        (
-            "sampled_branches".to_string(),
-            JsonValue::from(p.sampled.len()),
-        ),
     ])
 }
 
@@ -454,17 +450,14 @@ fn run() -> Result<(), String> {
     let baseline_cfg = SearchConfig {
         threads: Some(1),
         no_prune: true,
-        trace_sample: None,
     };
     let prune_cfg = SearchConfig {
         threads: Some(1),
         no_prune: false,
-        trace_sample: None,
     };
     let tuned_cfg = SearchConfig {
         threads: None,
         no_prune: false,
-        trace_sample: None,
     };
 
     let configs = [baseline_cfg, prune_cfg, tuned_cfg];
@@ -540,7 +533,7 @@ fn run() -> Result<(), String> {
     }
 
     let report = JsonValue::Object(vec![
-        ("schema".to_string(), JsonValue::from("bench_search/v3")),
+        ("schema".to_string(), JsonValue::from("bench_search/v4")),
         ("tuned_threads".to_string(), JsonValue::from(tuned_threads)),
         ("reps".to_string(), JsonValue::from(u64::from(opts.reps))),
         ("instances".to_string(), JsonValue::Array(rows)),

@@ -16,8 +16,8 @@
 //!
 //! `--threads <n>` sets the worker count of the parallel routing search
 //! and of the sweep-row workers that run the independent rows of E4, E7
-//! and E13 (`clos_core::search::map_rows`; default:
-//! `CLOS_SEARCH_THREADS` or the hardware, capped at 8). Results are
+//! and E13 (`clos_core::search::map_rows`; default: the hardware,
+//! capped at 8). Results are
 //! byte-identical for every thread count — CI diffs `--threads 1` runs
 //! against `--threads 4` runs to enforce this.
 //!

@@ -14,6 +14,13 @@
 //! | E6 | §6 stochastic rate study | [`experiments::e6_rate_study`] |
 //! | E7 | §7 scheduling vs congestion control (FCT) | [`experiments::e7_fct`] |
 //! | E8 | Definitions 2.4/2.5 exactness cross-checks | [`experiments::e8_exactness`] |
+//! | E9 | §7 (R2) open question: relative max-min fairness | [`experiments::e9_relative_fairness`] |
+//! | E10 | §6 multirate rearrangeability (generalized Clos) | [`experiments::e10_oversubscription`] |
+//! | E11 | §1 demand satisfaction / Definition 2.1 (LP cross-validation) | [`experiments::e11_lp_cross_validation`] |
+//! | E12 | §7 (R2) ablation: weighted congestion control | [`experiments::e12_weighted_fairness`] |
+//! | E13 | Online churn ablation (beyond the paper) | [`experiments::e13_churn`] |
+//! | E14 | Failure robustness ablation (beyond the paper) | [`experiments::e14_failures`] |
+//! | E15 | Topology generality: Clos, Benes, fat-tree (beyond the paper) | [`experiments::e15_topologies`] |
 //!
 //! Run them all with the `repro` binary:
 //!

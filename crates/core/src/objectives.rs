@@ -62,12 +62,12 @@ pub struct SearchStats {
     /// Number of assignment subtrees skipped because their admissible
     /// objective bound could not beat an incumbent.
     pub pruned: u64,
-    /// Per-depth histograms, prune provenance, and sampled branches.
+    /// Per-depth histograms and prune provenance.
     pub profile: SearchProfile,
 }
 
 /// Where the search tree's work went: per-depth histograms and
-/// prune-provenance counters, plus an optional sampled branch trace.
+/// prune-provenance counters.
 ///
 /// Every counter is accumulated per block and merged by summation in
 /// block order, so the whole profile — like [`SearchStats`] — is
@@ -124,17 +124,9 @@ pub struct SearchProfile {
     /// Blocks never started: they lie past the wave that proved the
     /// optimum (all of them when the seed itself meets the root bound).
     pub blocks_skipped: u64,
-    /// Deterministically sampled leaves (see
-    /// [`SearchConfig::trace_sample`]), in lexicographic order, capped at
-    /// [`SearchProfile::MAX_SAMPLED`].
-    pub sampled: Vec<SampledBranch>,
 }
 
 impl SearchProfile {
-    /// Global cap on [`sampled`](Self::sampled) after merging, so the
-    /// trace stays bounded on huge searches.
-    pub const MAX_SAMPLED: usize = 64;
-
     /// An empty profile with depth vectors sized for `flows` flows.
     #[must_use]
     pub fn for_depth(flows: usize) -> SearchProfile {
@@ -146,10 +138,7 @@ impl SearchProfile {
         }
     }
 
-    /// Folds another block's profile into this one (elementwise sums;
-    /// samples are appended and truncated to
-    /// [`MAX_SAMPLED`](Self::MAX_SAMPLED)). Call in block order to keep
-    /// the retained sample prefix deterministic.
+    /// Folds another block's profile into this one (elementwise sums).
     pub fn merge(&mut self, other: &SearchProfile) {
         fn add_into(acc: &mut Vec<u64>, other: &[u64]) {
             if acc.len() < other.len() {
@@ -168,22 +157,7 @@ impl SearchProfile {
         self.blocks_exhausted += other.blocks_exhausted;
         self.proven_blocks += other.proven_blocks;
         self.blocks_skipped += other.blocks_skipped;
-        let room = SearchProfile::MAX_SAMPLED.saturating_sub(self.sampled.len());
-        self.sampled
-            .extend(other.sampled.iter().take(room).cloned());
     }
-}
-
-/// One deterministically sampled leaf of the search tree (the sampled
-/// branch-trace mode, [`SearchConfig::trace_sample`]).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SampledBranch {
-    /// Index of the prefix block the leaf belongs to.
-    pub block: usize,
-    /// The complete canonical middle-switch assignment.
-    pub assignment: Vec<usize>,
-    /// Whether this leaf improved its block-local incumbent.
-    pub improved: bool,
 }
 
 /// Invokes `visit` with every canonical routing-class assignment for
@@ -535,7 +509,6 @@ mod tests {
             let config = SearchConfig {
                 threads: Some(threads),
                 no_prune: false,
-                trace_sample: None,
             };
             let (best, _) = search_lex_max_min_with(&clos, &flows, config);
             let m = clos.middle_of_path(best.routing.path(clos_net::FlowId::new(0)));

@@ -120,7 +120,7 @@ use clos_rational::Rational;
 use clos_telemetry::counters;
 
 use crate::compiled::{CompiledInstance, EvalScratch};
-use crate::objectives::{SampledBranch, SearchProfile, SearchStats};
+use crate::objectives::{SearchProfile, SearchStats};
 use crate::RoutedAllocation;
 
 /// Target number of prefix blocks for the parallel decomposition.
@@ -143,21 +143,15 @@ pub const FIRST_WAVE: usize = 8;
 /// Upper cap on the auto-detected thread count.
 const MAX_AUTO_THREADS: usize = 8;
 
-/// Per-block cap on sampled branches ([`SearchConfig::trace_sample`]);
-/// with [`BLOCK_TARGET`] blocks the global
-/// [`SearchProfile::MAX_SAMPLED`] cap usually binds first.
-const MAX_SAMPLED_PER_BLOCK: usize = 4;
-
-/// Requested worker count: 0 means "auto" (env var, then hardware).
+/// Requested worker count: 0 means "auto" (the hardware).
 static SEARCH_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the worker count for subsequent searches and [`map_rows`] sweeps
 /// (process-global).
 ///
-/// `0` restores the default resolution order: the `CLOS_SEARCH_THREADS`
-/// environment variable if set, otherwise the available hardware
-/// parallelism capped at 8. Results are identical for every setting; only
-/// wall-clock time changes.
+/// `0` restores the default: the available hardware parallelism capped
+/// at 8. Results are identical for every setting; only wall-clock time
+/// changes.
 pub fn set_search_threads(threads: usize) {
     SEARCH_THREADS.store(threads, Ordering::Release);
 }
@@ -168,13 +162,6 @@ pub fn search_threads() -> usize {
     let explicit = SEARCH_THREADS.load(Ordering::Acquire);
     if explicit > 0 {
         return explicit;
-    }
-    if let Ok(var) = std::env::var("CLOS_SEARCH_THREADS") {
-        if let Ok(n) = var.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
     }
     std::thread::available_parallelism()
         .map_or(1, std::num::NonZeroUsize::get)
@@ -190,13 +177,6 @@ pub struct SearchConfig {
     /// then visits every canonical assignment). Used by benchmarks to
     /// measure the pruning contribution; results are identical either way.
     pub no_prune: bool,
-    /// Sampled branch-trace mode: `Some(k)` records every `k`-th
-    /// examined leaf of each block (first leaf included) into
-    /// [`SearchProfile::sampled`], capped per block and globally.
-    /// Sampling is keyed to the block-local examination index, so the
-    /// recorded sample is identical for any thread count. `None` (the
-    /// default) records nothing.
-    pub trace_sample: Option<u64>,
 }
 
 /// Precomputed, read-only view of one search instance, shared by all
@@ -958,15 +938,13 @@ fn wave_ranges(blocks: usize) -> Vec<Range<usize>> {
 /// Per-block search outcome; every field is a pure function of the block,
 /// the instance, and the seed key — never of thread scheduling.
 struct BlockOutcome<K> {
-    index: usize,
     /// Lexicographically first leaf of the block whose key strictly beats
     /// the seed key (with its key), if any.
     best: Option<(Vec<usize>, K)>,
     examined: u64,
     improvements: u64,
     pruned: u64,
-    /// Per-depth histograms, prune provenance, and sampled leaves of
-    /// this block alone.
+    /// Per-depth histograms and prune provenance of this block alone.
     profile: SearchProfile,
 }
 
@@ -1059,10 +1037,6 @@ impl<F: Fabric, O: Objective<F>> Visitor for BlockVisitor<'_, '_, '_, F, O> {
         }
         self.outcome.examined += 1;
         counters::SEARCH_ASSIGNMENTS.incr();
-        let sampled = self.ctx.config.trace_sample.is_some_and(|k| {
-            (self.outcome.examined - 1).is_multiple_of(k.max(1))
-                && self.outcome.profile.sampled.len() < MAX_SAMPLED_PER_BLOCK
-        });
         self.ctx
             .objective
             .evaluate(&self.ctx.problem, self.scratch, assignment);
@@ -1071,8 +1045,7 @@ impl<F: Fabric, O: Objective<F>> Visitor for BlockVisitor<'_, '_, '_, F, O> {
             .best
             .as_ref()
             .map_or(&self.ctx.seed_key, |(_, key)| key);
-        let improved = self.ctx.objective.beats(incumbent, self.scratch);
-        if improved {
+        if self.ctx.objective.beats(incumbent, self.scratch) {
             self.outcome.improvements += 1;
             counters::SEARCH_IMPROVEMENTS.incr();
             // Histogram the improvement at the first position where the
@@ -1096,13 +1069,6 @@ impl<F: Fabric, O: Objective<F>> Visitor for BlockVisitor<'_, '_, '_, F, O> {
                 .as_ref()
                 .is_some_and(|bound| bound_cannot_beat(bound, &key));
             self.outcome.best = Some((assignment.to_vec(), key));
-        }
-        if sampled {
-            self.outcome.profile.sampled.push(SampledBranch {
-                block: self.outcome.index,
-                assignment: assignment.to_vec(),
-                improved,
-            });
         }
     }
 
@@ -1132,7 +1098,6 @@ fn process_block<F: Fabric, O: Objective<F>>(
         seed_pending: index == 0,
         proven: false,
         outcome: BlockOutcome {
-            index,
             best: None,
             examined: 0,
             improvements: 0,
@@ -1611,7 +1576,6 @@ mod tests {
             let config = SearchConfig {
                 threads: Some(threads),
                 no_prune: false,
-                trace_sample: None,
             };
             let (tput, tput_stats) = run_search(&benes, &flows, &ThroughputMaxMin, config);
             let (lex, lex_stats) = run_search(&benes, &flows, &LexMaxMin, config);
@@ -1661,7 +1625,6 @@ mod tests {
             let config = SearchConfig {
                 threads: Some(threads),
                 no_prune,
-                trace_sample: None,
             };
             let (got, _) = run_search(fabric, flows, &ThroughputMaxMin, config);
             assert_eq!(got, expect_leaf, "threads={threads} no_prune={no_prune}");
@@ -1680,7 +1643,6 @@ mod tests {
             let config = |threads| SearchConfig {
                 threads: Some(threads),
                 no_prune: false,
-                trace_sample: None,
             };
             let lex = run_search(fabric, &flows, &LexMaxMin, config(1));
             let tput = run_search(fabric, &flows, &ThroughputMaxMin, config(1));
@@ -1874,7 +1836,6 @@ mod tests {
             let config = SearchConfig {
                 threads: Some(threads),
                 no_prune: false,
-                trace_sample: None,
             };
             let payload = catch_unwind(AssertUnwindSafe(|| {
                 run_search(&clos, &flows, &objective, config)

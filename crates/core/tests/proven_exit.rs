@@ -39,7 +39,6 @@ fn check_matches_exhaustive<F: Fabric + Sync>(fabric: &F, flows: &[Flow]) {
     let config = |threads, no_prune| SearchConfig {
         threads: Some(threads),
         no_prune,
-        trace_sample: None,
     };
     let lex_control = search_lex_max_min_with(fabric, flows, config(1, true));
     let tput_control = search_throughput_max_min_with(fabric, flows, config(1, true));

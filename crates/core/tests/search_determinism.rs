@@ -41,14 +41,12 @@ fn results_identical_across_explicit_thread_counts() {
         SearchConfig {
             threads: Some(1),
             no_prune: false,
-            trace_sample: None,
         },
     );
     for threads in [2usize, 4, 8] {
         let config = SearchConfig {
             threads: Some(threads),
             no_prune: false,
-            trace_sample: None,
         };
         let got = search_lex_max_min_with(&clos, &flows, config);
         assert_eq!(
@@ -67,7 +65,6 @@ fn results_identical_across_explicit_thread_counts() {
         SearchConfig {
             threads: Some(4),
             no_prune: true,
-            trace_sample: None,
         },
     );
     assert_eq!(unpruned.0, reference.0);
@@ -100,7 +97,6 @@ fn throughput_objective_identical_across_thread_counts() {
         SearchConfig {
             threads: Some(1),
             no_prune: false,
-            trace_sample: None,
         },
     );
     for threads in [2usize, 4, 8] {
@@ -110,7 +106,6 @@ fn throughput_objective_identical_across_thread_counts() {
             SearchConfig {
                 threads: Some(threads),
                 no_prune: false,
-                trace_sample: None,
             },
         );
         assert_eq!(got, reference, "threads={threads}");

@@ -119,7 +119,6 @@ fn search_stats_agree_with_counters() {
         let no_prune = SearchConfig {
             threads: None,
             no_prune: true,
-            trace_sample: None,
         };
         let (_, exhaustive) = search_throughput_max_min_with(&clos, &flows, no_prune);
         assert_eq!(exhaustive.routings_examined, enumerated);

@@ -80,7 +80,7 @@ fn compare(baseline: &str, current: &str, extra: &[&str]) -> (bool, String) {
 fn fixture(examined: u64, wall_ms: f64) -> String {
     let rate = 1000.0 / wall_ms * 100.0;
     format!(
-        r#"{{"schema":"bench_search/v3","tuned_threads":2,"reps":3,
+        r#"{{"schema":"bench_search/v4","tuned_threads":2,"reps":3,
 "instances":[{{"instance":"hot3","objective":"lex","n":3,"flows":9,
 "baseline":{{"wall_ms":{wall_ms},"routings_examined":{examined},"pruned":0,"improvements":3,"evals_per_sec":{rate}}},
 "prune":{{"wall_ms":{wall_ms},"routings_examined":{examined},"pruned":7,"improvements":3,"evals_per_sec":{rate}}},
@@ -124,17 +124,26 @@ fn wider_tolerance_admits_the_same_slowdown() {
     assert!(ok, "--tolerance 0.5 must admit a 20% slowdown");
 }
 
-/// The checked-in baseline must parse and carry the schema marker the
-/// observatory is versioned by.
+/// Every checked-in baseline must parse, carry the schema marker its
+/// report is versioned by, and compare clean against itself: the one
+/// comparison rule finds zero delta on every metric of every report.
 #[test]
-fn checked_in_baseline_carries_schema_v3() {
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("benches/baselines/BENCH_search.json");
-    let text = std::fs::read_to_string(&path).expect("versioned baseline exists");
-    assert!(text.contains("\"schema\":\"bench_search/v3\""));
-    // Self-comparison of the checked-in baseline is the trivial gate:
-    // zero delta on every metric.
-    let (ok, table) = compare(&text, &text, &[]);
-    assert!(ok, "baseline must compare clean against itself:\n{table}");
-    assert!(table.contains("0 failing"), "{table}");
+fn checked_in_baselines_carry_schema_and_self_compare() {
+    for (file, schema) in [
+        ("BENCH_search.json", "bench_search/v4"),
+        ("BENCH_churn.json", "bench_churn/v1"),
+        ("BENCH_lint.json", "bench_lint/v1"),
+    ] {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("benches/baselines")
+            .join(file);
+        let text = std::fs::read_to_string(&path).expect("versioned baseline exists");
+        assert!(
+            text.contains(&format!("\"schema\":\"{schema}\"")),
+            "{file} must carry schema {schema}"
+        );
+        let (ok, table) = compare(&text, &text, &[]);
+        assert!(ok, "{file} must compare clean against itself:\n{table}");
+        assert!(table.contains("0 failing"), "{table}");
+    }
 }
