@@ -12,7 +12,9 @@
 //! Every scenario row records the engine's deterministic counters
 //! (events, arrivals, departures, epochs, peak/final concurrency,
 //! recomputed flows and paths — their ratio is the mean number of flows
-//! sharing a path — and the always-zero reused flows) plus the FNV-1a
+//! sharing a recomputed path — and the reused flows, those on paths
+//! frozen in water-filling rounds replayed from the previous epoch) plus
+//! the FNV-1a
 //! rate checksum of the final flushed allocation; `bench_compare`
 //! treats those as exact and only the wall-derived metrics (`wall_ms`,
 //! `events_per_sec`) as noisy. `--stable` zeroes the wall-derived metrics so the report is

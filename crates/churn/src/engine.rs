@@ -29,6 +29,17 @@
 //! over the description as it stands: no per-epoch push or rebuild, and
 //! no work for paths without live flows.
 //!
+//! The description also notes the links whose live-flow counts changed
+//! since the last epoch ([`WaterfillScratch::dirty_links`]; a flush with
+//! none, and no capacity change, is a no-op). The epoch's run replays the
+//! previous epoch's leading rounds that those links cannot change and
+//! recomputes only from there (see the `clos_fairness` compiled module
+//! docs): paths that froze in replayed rounds keep their rates in place
+//! and count as reused flows in [`RecomputeStats`]. With a few events per
+//! epoch that is a sizeable share of the rounds; when every link is
+//! dirty, nothing. A failure overlay recompiles the instance, so the
+//! epoch after it recomputes every round.
+//!
 //! # Bit-identical to a per-flow recompute
 //!
 //! Flows on one path cross exactly the same links, so water-filling
@@ -129,18 +140,19 @@ impl Default for ChurnConfig {
 pub struct RecomputeStats {
     /// Recompute epochs run.
     pub epochs: u64,
-    /// Links whose flow set or capacity changed between epochs, summed
-    /// over epochs (informational: every epoch recomputes every live
-    /// path regardless).
+    /// Links whose live-flow count changed between epochs, summed over
+    /// epochs: the links an epoch's run may not replay across.
     pub dirty_links: u64,
-    /// Live flows recomputed by epochs (every live flow, every epoch).
+    /// Live flows recomputed by epochs: every live flow, every epoch,
+    /// less `reused_flows`.
     pub recomputed_flows: u64,
     /// Live paths recomputed by epochs, one waterfill entry each;
     /// `recomputed_flows / recomputed_paths` is the mean number of flows
-    /// sharing a path.
+    /// sharing a recomputed path.
     pub recomputed_paths: u64,
-    /// Always 0: epochs recompute every live path and reuse no cached
-    /// rate. Kept so reports that read it stay comparable.
+    /// Live flows on paths that froze in water-filling rounds an epoch
+    /// replayed from the previous one, summed over epochs: their rates
+    /// and bottlenecks were reused, not recomputed.
     pub reused_flows: u64,
     /// Events applied.
     pub events: u64,
@@ -237,9 +249,10 @@ pub struct ChurnEngine<S, F: Fabric = ClosNetwork> {
     touched: Vec<u32>,
     live: usize,
 
-    /// Links changed since the last flush; a flush with none is a no-op.
-    dirty: Vec<bool>,
-    dirty_list: Vec<usize>,
+    /// A failure overlay changed capacities since the last flush (flow
+    /// edits since then are the description's dirty links; a flush with
+    /// neither is a no-op).
+    capacity_changed: bool,
     pending: usize,
 
     /// The waterfill description: entry `p` is path `p`, at its live
@@ -265,7 +278,6 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
     pub fn new(fabric: F, policy: OnlinePolicy, cfg: ChurnConfig) -> ChurnEngine<S, F> {
         assert!(cfg.batch >= 1, "batch size must be at least 1");
         let instance = WaterfillInstance::<S>::compile(fabric.network());
-        let links = instance.link_count();
         let net = fabric.network();
         let mut host_rank = vec![NO_RANK; net.node_count()];
         let sources = net.nodes_of_kind(NodeKind::Source);
@@ -290,8 +302,7 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             slot_of_key: Vec::new(),
             touched: Vec::new(),
             live: 0,
-            dirty: vec![false; links],
-            dirty_list: Vec::new(),
+            capacity_changed: false,
             pending: 0,
             scratch: WaterfillScratch::new(),
             oracle_scratch: WaterfillScratch::new(),
@@ -441,27 +452,18 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         self.stats.peak_live = self.stats.peak_live.max(self.live as u64);
     }
 
-    /// Adds one live flow to `path` (a multiplicity step of its
-    /// waterfill entry, which updates its links' live counts) and marks
-    /// its links dirty.
+    /// Adds one live flow to `path`: a multiplicity step of its
+    /// waterfill entry, which updates its links' live counts and marks
+    /// them dirty in the description.
     fn join(&mut self, path: u32) {
         let live = self.scratch.multiplicity(path as usize) + 1;
-        self.set_live(path, live);
+        self.scratch.set_multiplicity(path as usize, live);
     }
 
     /// Removes one live flow from `path`, the inverse of [`Self::join`].
     fn leave(&mut self, path: u32) {
         let live = self.scratch.multiplicity(path as usize) - 1;
-        self.set_live(path, live);
-    }
-
-    /// Sets `path`'s live multiplicity and marks its links dirty.
-    fn set_live(&mut self, path: u32, live: usize) {
         self.scratch.set_multiplicity(path as usize, live);
-        for i in 0..self.links_of(path).len() {
-            let d = self.links_of(path)[i];
-            self.mark_dirty(d);
-        }
     }
 
     fn depart(&mut self, key: FlowKey) {
@@ -480,16 +482,11 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         self.live -= 1;
     }
 
-    fn mark_dirty(&mut self, dense: usize) {
-        if !self.dirty[dense] {
-            self.dirty[dense] = true;
-            self.dirty_list.push(dense);
-        }
-    }
-
     /// Runs a recompute epoch — one waterfill over the live paths, each
-    /// weighted by its live multiplicity — and resets the batch window.
-    /// A no-op when nothing changed since the last flush.
+    /// weighted by its live multiplicity, resumed from the previous
+    /// epoch's run where the edits since cannot change it — and resets
+    /// the batch window. A no-op when nothing changed since the last
+    /// flush.
     ///
     /// Rates published by [`rate`](Self::rate)/[`checksum`] are exact
     /// as of the last flush; callers comparing engines across batch
@@ -498,23 +495,22 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
     /// [`checksum`]: Self::checksum
     pub fn flush(&mut self) {
         self.pending = 0;
-        if self.dirty_list.is_empty() {
+        let dirty = self.scratch.dirty_links().len() as u64;
+        if dirty == 0 && !self.capacity_changed {
             return;
         }
+        self.capacity_changed = false;
         let _timer = timers::CHURN_EPOCH.scope();
         let _span = clos_telemetry::span("churn.epoch");
         counters::CHURN_EPOCHS.incr();
-        counters::CHURN_DIRTY_LINKS.add(self.dirty_list.len() as u64);
+        counters::CHURN_DIRTY_LINKS.add(dirty);
         self.stats.epochs += 1;
-        self.stats.dirty_links += self.dirty_list.len() as u64;
-        for &d in &self.dirty_list {
-            self.dirty[d] = false;
-        }
-        self.dirty_list.clear();
+        self.stats.dirty_links += dirty;
 
         // The description is current: apply kept every live path's
         // multiplicity, and the run leaves each path's rate and
-        // bottleneck in place, where accessors read them.
+        // bottleneck in place, where accessors read them. Paths that
+        // froze in rounds replayed from the previous epoch keep theirs.
         self.instance.run(&mut self.scratch);
         {
             let _write_back = clos_telemetry::span("churn.write_back");
@@ -526,11 +522,15 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             self.touched.clear();
         }
 
-        let paths = self.scratch.live_entries() as u64;
-        counters::CHURN_RECOMPUTED_FLOWS.add(self.live as u64);
+        let reused = self.scratch.replayed_flows() as u64;
+        let flows = self.live as u64 - reused;
+        let paths = (self.scratch.live_entries() - self.scratch.replayed_entries()) as u64;
+        counters::CHURN_RECOMPUTED_FLOWS.add(flows);
         counters::CHURN_RECOMPUTED_PATHS.add(paths);
-        self.stats.recomputed_flows += self.live as u64;
+        counters::CHURN_REUSED_FLOWS.add(reused);
+        self.stats.recomputed_flows += flows;
         self.stats.recomputed_paths += paths;
+        self.stats.reused_flows += reused;
 
         if self.cfg.verify {
             let _verify = clos_telemetry::span("churn.verify");
@@ -608,13 +608,10 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             self.instance.link_ids(),
             "failure overlays must keep the dense link order stable"
         );
+        // A recompiled instance is a new one, so the next run starts
+        // afresh rather than resuming the last.
         self.instance = instance;
-        for link in changed {
-            let Some(d) = self.instance.dense_index(link) else {
-                unreachable!("failure overlays keep every link finite")
-            };
-            self.mark_dirty(d);
-        }
+        self.capacity_changed = true;
     }
 
     /// Sweeps every live flow crossing a zero-capacity link and moves
@@ -914,6 +911,40 @@ mod tests {
         assert!(e.live_flows().all(|(_, r)| r == Rational::new(1, 6)));
         assert_eq!(e.stats().recomputed_flows, 11);
         assert_eq!(e.stats().recomputed_paths, 6);
+    }
+
+    /// Publishing after every event replays most of each epoch's
+    /// water-filling rounds: the reused flows are counted, and with the
+    /// recomputed ones they add up to the live flows of every epoch. The
+    /// `verify` oracle checks every epoch's rates bit for bit.
+    #[test]
+    fn per_event_epochs_reuse_replayed_flows() {
+        let clos = ClosNetwork::standard(3);
+        let cfg = crate::trace::TraceConfig {
+            arrival_rate_per_sec: 1_000_000,
+            lifetime: crate::trace::SizeDist::Exponential { mean_ns: 40_000 },
+            pattern: crate::trace::Pattern::Uniform,
+            events: 400,
+            seed: 5,
+        };
+        let mut e = ChurnEngine::<TotalF64>::new(
+            clos.clone(),
+            OnlinePolicy::greedy(),
+            ChurnConfig {
+                batch: 1,
+                verify: true,
+            },
+        );
+        let mut live_sum = 0;
+        for t in crate::trace::TraceGenerator::new(&clos, &cfg) {
+            e.apply(t.event);
+            live_sum += e.live() as u64;
+        }
+        let stats = e.stats();
+        assert_eq!(stats.epochs, 400);
+        assert!(stats.reused_flows > 0, "no flow was reused");
+        assert_eq!(stats.reused_flows + stats.recomputed_flows, live_sum);
+        assert!(stats.recomputed_paths <= stats.recomputed_flows);
     }
 
     #[test]

@@ -332,6 +332,25 @@ mod tests {
         }
     }
 
+    /// A search evaluation describes each routing afresh (`begin` plus
+    /// pushes), so no evaluation resumes the one before it.
+    #[test]
+    fn evaluate_never_replays() {
+        let clos = ClosNetwork::standard(2);
+        let flows = vec![
+            Flow::new(clos.source(0, 1), clos.destination(0, 1)),
+            Flow::new(clos.source(0, 1), clos.destination(1, 0)),
+            Flow::new(clos.source(1, 0), clos.destination(1, 0)),
+        ];
+        let compiled = CompiledInstance::new(&clos, &flows);
+        let mut scratch = EvalScratch::default();
+        for assignment in [[0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 1, 1]] {
+            compiled.evaluate(&mut scratch, &assignment);
+            assert_eq!(scratch.waterfill.replayed_rounds(), 0);
+            assert!(scratch.waterfill.dirty_links().is_empty());
+        }
+    }
+
     /// The compiled rates of `assignment` equal those of the routing it
     /// materialises to, water-filled by [`RoutedAllocation::from_assignment`].
     fn assert_matches_materialised<F: Fabric>(fabric: &F, flows: &[Flow], assignment: &[usize]) {

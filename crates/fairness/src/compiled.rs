@@ -70,6 +70,42 @@
 //! description for good and changes only the entries whose multiplicity
 //! changed, and a run costs nothing per absent entry.
 //!
+//! # Resuming an edited description
+//!
+//! A caller that keeps one description and edits it between runs (the
+//! churn engine, which publishes rates after every flow event) mostly
+//! asks for a run whose first rounds repeat the last run round for round.
+//! Once [`WaterfillScratch::set_multiplicity`] has edited a description in
+//! place, and until the next [`WaterfillScratch::begin`], the scratch
+//! therefore notes the links whose flow counts change
+//! ([`WaterfillScratch::dirty_links`]), and each run records, per round,
+//! where its entries start in the freezing order, its at-minimum links,
+//! and every touched link's add count and resulting frozen load.
+//!
+//! The next run against the same instance replays round `r` of that log
+//! while none of the round's at-minimum links is dirty and every dirty
+//! link that still carries unfrozen flows sits strictly above `r`'s
+//! level. Then the round repeats exactly: clean links have seen the same
+//! loads and counts so far, so they give the same minimum and the same
+//! at-minimum links; dirty links only enter the minimum test; and an
+//! entry whose multiplicity changed lies on dirty links only, so it
+//! cannot freeze in the round. A replayed round marks the logged entries
+//! frozen (their rates and bottlenecks are still in place from the last
+//! run), moves active counts by the logged adds, restores clean links'
+//! logged loads, and recomputes dirty links' loads with the same counted
+//! add, writing them back into the log (a dirty link can empty in a
+//! different round than before, which skips its add). The round loop
+//! continues from the first round that fails the test, so rates, levels,
+//! and bottlenecks stay bit-identical to a fresh run, and
+//! `waterfill.rounds`/`waterfill.saturations` count replayed rounds as
+//! if they had run (`waterfill.replayed_rounds` counts them apart).
+//!
+//! A run never resumes after `begin` (searches, oracles, and the
+//! [`max_min_fair`] wrappers describe every run afresh, and neither log
+//! nor track anything), on a weighted description, against a different
+//! instance (every compile is a new identity, so a recompile under new
+//! capacities starts afresh), or after a run that did not complete.
+//!
 //! # Weights
 //!
 //! [`WaterfillScratch::push_weighted_flow`] gives an entry a weight `w`
@@ -89,9 +125,10 @@
 //! Between `run`s the description changes only through
 //! [`WaterfillScratch::begin`] (which empties it), the push calls (which
 //! append entries), and [`WaterfillScratch::set_multiplicity`]; each keeps
-//! the member lists and flow counts current, and all of them reuse the
-//! buffers' existing capacity. A run reads the description and leaves it
-//! as it was, so a description may be run, changed, and run again. A warm
+//! the member lists and flow counts current (and, for a description
+//! edited in place, the dirty links), and all of them reuse the buffers'
+//! existing capacity. A run reads the description and leaves it as it
+//! was, so a description may be run, changed, and run again. A warm
 //! run (the scratch has run at least once before) is counted in the
 //! `waterfill.scratch_reuse` telemetry counter, and allocates only if the
 //! new description is *larger* than anything the scratch has seen —
@@ -102,9 +139,16 @@
 //! [`max_min_fair_traced`]: crate::max_min_fair_traced
 //! [`max_min_fair_weighted`]: crate::max_min_fair_weighted
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use clos_net::{LinkId, Network};
 use clos_rational::Scalar;
 use clos_telemetry::{counters, timers};
+
+/// Source of [`WaterfillInstance`] identities: every compile takes the
+/// next value, so a scratch can tell the instance its log was written
+/// against from any other, a recompile of the same network included.
+static NEXT_INSTANCE_ID: AtomicU64 = AtomicU64::new(0);
 
 /// The network-dependent half of water-filling: the dense table of finite
 /// links (only those can bottleneck a flow), compiled once and shared by
@@ -134,6 +178,8 @@ use clos_telemetry::{counters, timers};
 /// ```
 #[derive(Clone, Debug)]
 pub struct WaterfillInstance<S> {
+    /// Identity of this compile (clones share it, since they are equal).
+    id: u64,
     /// Raw link index -> dense finite-link index, if compiled in.
     dense_of_link: Vec<Option<usize>>,
     /// Dense index -> original link id.
@@ -147,6 +193,7 @@ impl<S: Scalar> WaterfillInstance<S> {
     #[must_use]
     pub fn compile(net: &Network) -> WaterfillInstance<S> {
         let mut instance = WaterfillInstance {
+            id: NEXT_INSTANCE_ID.fetch_add(1, Ordering::AcqRel),
             dense_of_link: vec![None; net.link_count()],
             link_ids: Vec::with_capacity(net.link_count()),
             capacities: Vec::with_capacity(net.link_count()),
@@ -177,6 +224,7 @@ impl<S: Scalar> WaterfillInstance<S> {
             keep[l.index()] = true;
         }
         let mut instance = WaterfillInstance {
+            id: NEXT_INSTANCE_ID.fetch_add(1, Ordering::AcqRel),
             dense_of_link: vec![None; net.link_count()],
             link_ids: Vec::new(),
             capacities: Vec::new(),
@@ -238,11 +286,13 @@ impl<S: Scalar> WaterfillInstance<S> {
     /// Water-fills the flow collection described in `scratch` (via
     /// [`WaterfillScratch::begin`]/[`WaterfillScratch::push_flow`] and
     /// their kin), leaving rates, fill levels, and bottlenecks readable
-    /// from the scratch and the description unchanged. Rates, levels, and bottlenecks are bit-identical to
-    /// textbook progressive filling in every scalar mode (see the module
-    /// docs' round loop and the `compiled_equivalence` reference test);
-    /// after one warm-up run per instance size it performs no heap
-    /// allocations.
+    /// from the scratch and the description unchanged. A description
+    /// edited in place since its last run against this instance resumes
+    /// that run (see the module docs). Rates, levels, and bottlenecks are
+    /// bit-identical to textbook progressive filling in every scalar mode
+    /// (see the module docs' round loop and the `compiled_equivalence`
+    /// reference test); after one warm-up run per instance size it
+    /// performs no heap allocations.
     ///
     /// # Panics
     ///
@@ -294,14 +344,10 @@ impl<S: Scalar> WaterfillInstance<S> {
         s.rates.resize(flows, S::zero());
         s.bottleneck_of.resize(flows, 0);
         s.frozen.resize(flows, false);
-        s.frozen_order.clear();
-        s.frozen_order.reserve(s.live);
         s.frozen_load.clear();
         s.frozen_load.resize(links, S::zero());
         s.frozen_adds.clear();
         s.frozen_adds.resize(links, 0);
-        s.levels.clear();
-        s.levels.reserve(s.live);
         s.active_links.clear();
         s.active_links.reserve(links);
         s.at_minimum.clear();
@@ -316,15 +362,31 @@ impl<S: Scalar> WaterfillInstance<S> {
         s.link_level.resize(links, S::zero());
         s.stale.clear();
         s.stale.resize(links, false);
+
+        // An edited-in-place description is logged round by round, and a
+        // run against the instance of the last (complete) logged run
+        // replays the rounds its edits cannot change (see the module
+        // docs); the round loop continues from the first other one.
+        let logging = s.in_place && !weighted;
+        let resume = logging && s.log.instance == Some(self.id);
+        s.log.instance = None;
+        s.replayed = Replayed::default();
+        let replayed = if resume { self.replay(s) } else { 0 };
+        s.truncate_to_round(replayed);
+        s.frozen_order.reserve(s.live);
+        s.levels.reserve(s.live);
         for d in 0..links {
             if s.active_count[d] > 0 {
                 s.link_level[d] = self.level(s, d, weighted);
                 s.active_links.push(d);
             }
         }
-        let mut remaining = s.live;
+        let mut remaining = s.live - s.frozen_order.len();
 
         while remaining > 0 {
+            if logging {
+                s.log.open_round(s.frozen_order.len());
+            }
             // One scan over the links that still carry unfrozen flows
             // finds the minimum level and the links at it, ascending.
             // Every unfrozen flow touches a compiled link (the caller
@@ -345,6 +407,9 @@ impl<S: Scalar> WaterfillInstance<S> {
             }
             let level =
                 min_level.expect("invariant: unfrozen flows always touch a compiled finite link");
+            if logging {
+                s.log.at_minimum.extend_from_slice(&s.at_minimum);
+            }
 
             // Freeze every active flow on every link saturating at
             // `level`. Links are visited in ascending order, so an entry's
@@ -404,12 +469,15 @@ impl<S: Scalar> WaterfillInstance<S> {
             for i in 0..s.touched.len() {
                 let d = s.touched[i];
                 s.stale[d] = false;
+                let adds = std::mem::take(&mut s.frozen_adds[d]);
                 if s.active_count[d] > 0 {
-                    let adds = std::mem::take(&mut s.frozen_adds[d]);
                     s.frozen_load[d] = s.frozen_load[d].add_repeated(level, adds);
                     s.link_level[d] = self.level(s, d, weighted);
                 } else {
                     emptied = true;
+                }
+                if logging {
+                    s.log.touched.push((d, adds, s.frozen_load[d]));
                 }
             }
             s.touched.clear();
@@ -418,11 +486,87 @@ impl<S: Scalar> WaterfillInstance<S> {
                 s.active_links.retain(|&d| active_count[d] > 0);
             }
         }
-        // Every live entry froze; clear the flags for the next run.
+        if logging {
+            s.log.open_round(s.frozen_order.len());
+            s.log.instance = Some(self.id);
+        }
+        // Every live entry froze; clear the flags for the next run, and
+        // the edits this run has taken in.
         for i in 0..s.frozen_order.len() {
             let f = s.frozen_order[i];
             s.frozen[f] = false;
         }
+        s.clear_dirty();
+    }
+
+    /// Replays the leading rounds of the logged last run that the edits
+    /// since cannot change, and returns how many. Round `r` repeats when
+    /// none of its at-minimum links is dirty and every dirty link that
+    /// still carries unfrozen flows sits strictly above its level: clean
+    /// links then hold the loads and counts they held before, so the
+    /// round's minimum, its at-minimum links, and the entries it freezes
+    /// (members of clean links, whose multiplicities did not change) are
+    /// the logged ones. A replayed round marks those entries frozen,
+    /// whose rates and bottlenecks are still in place, moves active
+    /// counts by the logged adds, restores clean links' logged loads, and
+    /// recomputes dirty links' loads with the same counted add, writing
+    /// them back into the log for the next run to restore.
+    fn replay(&self, s: &mut WaterfillScratch<S>) -> usize {
+        debug_assert_eq!(s.log.starts.len(), s.levels.len() + 1, "a complete log");
+        // Only dirty links' levels enter the test; the others are
+        // refreshed where the round loop resumes.
+        for i in 0..s.dirty_links.len() {
+            let d = s.dirty_links[i];
+            if s.active_count[d] > 0 {
+                s.link_level[d] = self.level(s, d, false);
+            }
+        }
+        let multiplied = !s.multiplicity.is_empty();
+        let mut round = 0;
+        let mut flows = 0;
+        while round < s.levels.len() {
+            let [f0, a0, t0] = s.log.starts[round];
+            let [f1, a1, t1] = s.log.starts[round + 1];
+            let level = s.levels[round];
+            let dirty = &s.dirty;
+            if s.log.at_minimum[a0..a1].iter().any(|&d| dirty[d])
+                || s.dirty_links
+                    .iter()
+                    .any(|&d| s.active_count[d] > 0 && s.link_level[d] <= level)
+            {
+                break;
+            }
+            // Counted as if the round had run.
+            counters::WATERFILL_ROUNDS.incr();
+            counters::WATERFILL_REPLAYED_ROUNDS.incr();
+            for _ in a0..a1 {
+                counters::WATERFILL_SATURATIONS.incr();
+            }
+            for &f in &s.frozen_order[f0..f1] {
+                s.frozen[f] = true;
+                flows += if multiplied { s.multiplicity[f] } else { 1 };
+            }
+            for t in t0..t1 {
+                let (d, adds, load) = s.log.touched[t];
+                s.active_count[d] -= adds;
+                if s.dirty[d] {
+                    if s.active_count[d] > 0 {
+                        s.frozen_load[d] = s.frozen_load[d].add_repeated(level, adds);
+                        s.link_level[d] = self.level(s, d, false);
+                    }
+                    s.log.touched[t].2 = s.frozen_load[d];
+                } else {
+                    s.frozen_load[d] = load;
+                }
+            }
+            round += 1;
+        }
+        s.replayed = Replayed {
+            rounds: round,
+            entries: s.log.starts[round][0],
+            flows,
+        };
+        round
     }
 
     /// Link `d`'s residual capacity per unit of active weight (per active
@@ -503,6 +647,56 @@ pub struct WaterfillScratch<S> {
     bottleneck_of: Vec<usize>,
     /// Whether this scratch has completed a run before (telemetry).
     warm: bool,
+    /// Whether the description was edited in place
+    /// ([`Self::set_multiplicity`]) since the last [`Self::begin`]: only
+    /// such a description tracks dirty links and logs its runs.
+    in_place: bool,
+    /// Per-link flag: the link's flow count changed since the last run.
+    dirty: Vec<bool>,
+    /// The flagged links, each once.
+    dirty_links: Vec<usize>,
+    /// The round log of the last run.
+    log: RoundLog<S>,
+    /// What the last run replayed.
+    replayed: Replayed,
+}
+
+/// The per-round record of a run over an edited-in-place description,
+/// which the next run's replay reads (see the module docs).
+#[derive(Clone, Debug)]
+struct RoundLog<S> {
+    /// Identity of the instance the logged run completed against; `None`
+    /// while the log cannot be resumed (no logged run completed, or the
+    /// description was begun again since).
+    instance: Option<u64>,
+    /// Per round, its first index in `frozen_order`, in `at_minimum`,
+    /// and in `touched`; one more entry closes the last round.
+    starts: Vec<[usize; 3]>,
+    /// Each round's at-minimum links, ascending.
+    at_minimum: Vec<usize>,
+    /// Each round's touched links: the link, the flows that froze
+    /// across it, and its frozen load after the round.
+    touched: Vec<(usize, usize, S)>,
+}
+
+impl<S> RoundLog<S> {
+    /// Records that a round (or, after the last round, the end of the
+    /// run) starts at `frozen` in the freezing order.
+    fn open_round(&mut self, frozen: usize) {
+        self.starts
+            .push([frozen, self.at_minimum.len(), self.touched.len()]);
+    }
+}
+
+/// What a run took from the previous run's log instead of recomputing.
+#[derive(Clone, Copy, Debug, Default)]
+struct Replayed {
+    /// Rounds replayed.
+    rounds: usize,
+    /// Entries frozen in those rounds.
+    entries: usize,
+    /// Flows on those entries (their summed multiplicities).
+    flows: usize,
 }
 
 impl<S: Scalar> WaterfillScratch<S> {
@@ -532,6 +726,16 @@ impl<S: Scalar> WaterfillScratch<S> {
             levels: Vec::new(),
             bottleneck_of: Vec::new(),
             warm: false,
+            in_place: false,
+            dirty: Vec::new(),
+            dirty_links: Vec::new(),
+            log: RoundLog {
+                instance: None,
+                starts: Vec::new(),
+                at_minimum: Vec::new(),
+                touched: Vec::new(),
+            },
+            replayed: Replayed::default(),
         }
     }
 
@@ -557,6 +761,9 @@ impl<S: Scalar> WaterfillScratch<S> {
         self.multiplicity.clear();
         self.weights.clear();
         self.live = 0;
+        self.in_place = false;
+        self.clear_dirty();
+        self.log.instance = None;
     }
 
     /// Appends the next flow, crossing the given dense link indices (from
@@ -587,7 +794,7 @@ impl<S: Scalar> WaterfillScratch<S> {
             // Every earlier entry is a single flow.
             self.multiplicity.resize(entry, 1);
             self.multiplicity.push(0);
-            self.set_multiplicity(entry, multiplicity);
+            self.change_multiplicity(entry, multiplicity);
         } else {
             self.enlist(entry, 1);
         }
@@ -616,12 +823,25 @@ impl<S: Scalar> WaterfillScratch<S> {
     /// the run skips it and leaves its rate and bottleneck as the last
     /// run that saw it set them.
     ///
+    /// The description counts as edited in place from here until the
+    /// next [`Self::begin`]: the scratch notes the links whose flow
+    /// counts change ([`Self::dirty_links`]), and the next run resumes
+    /// the last one where those links can first make a difference (see
+    /// the module docs).
+    ///
     /// # Panics
     ///
     /// Panics if `entry` is out of range, or if an entry of a weighted
     /// description loses its last flow (weighted runs read the member
     /// lists in push order, which removal would reorder).
     pub fn set_multiplicity(&mut self, entry: usize, multiplicity: usize) {
+        self.in_place = true;
+        self.change_multiplicity(entry, multiplicity);
+    }
+
+    /// [`Self::set_multiplicity`] without marking the description as
+    /// edited in place (the push path).
+    fn change_multiplicity(&mut self, entry: usize, multiplicity: usize) {
         if self.multiplicity.is_empty() {
             self.multiplicity.resize(self.flow_count(), 1);
         }
@@ -631,10 +851,11 @@ impl<S: Scalar> WaterfillScratch<S> {
             self.enlist(entry, multiplicity);
         } else if old > 0 && multiplicity == 0 {
             self.delist(entry, old);
-        } else {
+        } else if old != multiplicity {
             for k in self.flow_starts[entry]..self.flow_starts[entry + 1] {
                 let d = self.flow_links[k];
                 self.link_flows[d] = self.link_flows[d] - old + multiplicity;
+                self.mark_dirty(d);
             }
         }
     }
@@ -646,6 +867,7 @@ impl<S: Scalar> WaterfillScratch<S> {
             let d = self.flow_links[k];
             self.members[d].push(entry as u32);
             self.link_flows[d] += m;
+            self.mark_dirty(d);
         }
         self.live += 1;
     }
@@ -663,8 +885,38 @@ impl<S: Scalar> WaterfillScratch<S> {
             };
             list.swap_remove(pos);
             self.link_flows[d] -= m;
+            self.mark_dirty(d);
         }
         self.live -= 1;
+    }
+
+    /// Notes that dense link `d`'s flow count changed, if the description
+    /// is edited in place.
+    fn mark_dirty(&mut self, d: usize) {
+        if self.in_place && !self.dirty[d] {
+            self.dirty[d] = true;
+            self.dirty_links.push(d);
+        }
+    }
+
+    /// Forgets every dirty mark.
+    fn clear_dirty(&mut self) {
+        for &d in &self.dirty_links {
+            self.dirty[d] = false;
+        }
+        self.dirty_links.clear();
+    }
+
+    /// Cuts the freezing order, the levels, and the round log back to the
+    /// first `round` rounds of the logged run (all of them when the run
+    /// starts afresh).
+    fn truncate_to_round(&mut self, round: usize) {
+        let [frozen, at_minimum, touched] = self.log.starts.get(round).copied().unwrap_or_default();
+        self.frozen_order.truncate(frozen);
+        self.levels.truncate(round);
+        self.log.starts.truncate(round);
+        self.log.at_minimum.truncate(at_minimum);
+        self.log.touched.truncate(touched);
     }
 
     /// Grows the per-link tables to at least `links` links.
@@ -672,6 +924,7 @@ impl<S: Scalar> WaterfillScratch<S> {
         if self.members.len() < links {
             self.members.resize_with(links, Default::default);
             self.link_flows.resize(links, 0);
+            self.dirty.resize(links, false);
         }
     }
 
@@ -738,6 +991,35 @@ impl<S: Scalar> WaterfillScratch<S> {
     #[must_use]
     pub fn bottlenecks(&self) -> &[usize] {
         &self.bottleneck_of
+    }
+
+    /// Dense links whose flow count changed since the last run, each
+    /// once, in the order they first changed; empty unless the
+    /// description is edited in place ([`Self::set_multiplicity`]).
+    #[must_use]
+    pub fn dirty_links(&self) -> &[usize] {
+        &self.dirty_links
+    }
+
+    /// Rounds the last run replayed from the run before it instead of
+    /// recomputing them (see the module docs); zero unless the
+    /// description is edited in place.
+    #[must_use]
+    pub fn replayed_rounds(&self) -> usize {
+        self.replayed.rounds
+    }
+
+    /// Entries the last run's replayed rounds froze: their rates and
+    /// bottlenecks are the run before's, left in place.
+    #[must_use]
+    pub fn replayed_entries(&self) -> usize {
+        self.replayed.entries
+    }
+
+    /// Flows on [`Self::replayed_entries`] (their summed multiplicities).
+    #[must_use]
+    pub fn replayed_flows(&self) -> usize {
+        self.replayed.flows
     }
 }
 

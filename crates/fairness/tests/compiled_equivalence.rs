@@ -730,3 +730,240 @@ proptest! {
         assert_maintained_description::<TotalF64>(&clos, &raw, &steps);
     }
 }
+
+/// A network for replay tests: `clos`'s links with capacities cycled
+/// from `capacities` (in halves, so zero capacities and exact ties are
+/// common), and a pool of entries on it. Each raw entry is `(src_tor,
+/// src_host, dst_tor, dst_host, middle, repeat)`; `repeat` makes the
+/// entry cross its first link a second time.
+fn replay_pool<S: Scalar>(
+    clos: &ClosNetwork,
+    capacities: &[u64],
+    raw: &[(usize, usize, usize, usize, usize, bool)],
+) -> (WaterfillInstance<S>, Vec<Vec<usize>>) {
+    let mut net = clos.network().clone();
+    let ids: Vec<LinkId> = net.links().map(|l| l.id()).collect();
+    for (&id, &halves) in ids.iter().zip(capacities.iter().cycle()) {
+        let cap = Rational::new(i128::from(halves), 2);
+        net.set_link_capacity(id, Capacity::finite_value(cap));
+    }
+    let instance = WaterfillInstance::<S>::compile(&net);
+    let pool = raw
+        .iter()
+        .map(|&(si, sj, ti, tj, middle, repeat)| {
+            let flow = Flow::new(clos.source(si, sj), clos.destination(ti, tj));
+            let mut links: Vec<usize> = clos
+                .path_via(flow, middle)
+                .links()
+                .iter()
+                .filter_map(|&l| instance.dense_index(l))
+                .collect();
+            if repeat {
+                links.push(links[0]);
+            }
+            links
+        })
+        .collect();
+    (instance, pool)
+}
+
+/// Runs the edited-in-place description in `scratch` (entry `i` crosses
+/// `pool[i]` at multiplicity `counts[i]`) and asserts its rates,
+/// bottlenecks, and levels equal a fresh scratch's over the live entries,
+/// bit for bit. Returns the rounds the run replayed.
+fn assert_resumed_equals_fresh<S: Scalar>(
+    instance: &WaterfillInstance<S>,
+    scratch: &mut WaterfillScratch<S>,
+    pool: &[Vec<usize>],
+    counts: &[usize],
+) -> usize {
+    instance.run(scratch);
+    let mut fresh = WaterfillScratch::new();
+    fresh.begin();
+    let live: Vec<usize> = (0..pool.len()).filter(|&i| counts[i] > 0).collect();
+    for &i in &live {
+        fresh.push_flows(&pool[i], counts[i]);
+    }
+    instance.run(&mut fresh);
+    for (j, &i) in live.iter().enumerate() {
+        assert_eq!(scratch.rates()[i], fresh.rates()[j], "rate of entry {i}");
+        assert_eq!(
+            scratch.bottlenecks()[i],
+            fresh.bottlenecks()[j],
+            "bottleneck of entry {i}"
+        );
+    }
+    assert_eq!(scratch.levels(), fresh.levels(), "levels diverged");
+    assert!(scratch.replayed_entries() <= live.len());
+    assert!(scratch.replayed_flows() <= counts.iter().sum::<usize>());
+    scratch.replayed_rounds()
+}
+
+/// Describes `pool` without flows, then applies each batch of `(entry,
+/// multiplicity)` edits through `set_multiplicity` and runs after every
+/// batch, checking each run against a fresh one. Returns the rounds
+/// replayed over all runs.
+fn assert_edit_sequence<S: Scalar>(
+    clos: &ClosNetwork,
+    capacities: &[u64],
+    raw: &[(usize, usize, usize, usize, usize, bool)],
+    batches: &[Vec<(usize, usize)>],
+) -> usize {
+    let (instance, pool) = replay_pool::<S>(clos, capacities, raw);
+    let mut scratch = WaterfillScratch::new();
+    scratch.begin();
+    for links in &pool {
+        scratch.push_flows(links, 0);
+    }
+    let mut counts = vec![0; pool.len()];
+    let mut replayed = 0;
+    for batch in batches {
+        for &(entry, m) in batch {
+            let i = entry % pool.len();
+            scratch.set_multiplicity(i, m);
+            counts[i] = m;
+        }
+        replayed += assert_resumed_equals_fresh(&instance, &mut scratch, &pool, &counts);
+    }
+    replayed
+}
+
+/// Raw replay-pool entries on `C_2`, one in five crossing a link twice.
+fn replay_entries() -> impl Strategy<Value = Vec<(usize, usize, usize, usize, usize, bool)>> {
+    let entry = (
+        0..4usize,
+        0..2usize,
+        0..4usize,
+        0..2usize,
+        0..2usize,
+        0..5u8,
+    );
+    let entries = prop::collection::vec(entry, 6..=16);
+    entries.prop_map(|raw| {
+        raw.into_iter()
+            .map(|(si, sj, ti, tj, middle, r)| (si, sj, ti, tj, middle, r == 0))
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A description edited in place between runs (entries going 0 → m →
+    /// 0, the same entry or link edited repeatedly, entries crossing a
+    /// link twice, zero capacities, exact ties) resumes each run from the
+    /// previous one's log, and every run equals a fresh scratch's rates,
+    /// bottlenecks, and levels, bit for bit, in both scalars.
+    ///
+    /// Each run's edits are few, so most runs replay rounds; capacities
+    /// are zero one time in ten.
+    #[test]
+    fn resumed_runs_equal_fresh_runs(
+        raw in replay_entries(),
+        capacities in prop::collection::vec(
+            (0..=9u64).prop_map(|x| if x == 0 { 0 } else { 1 + x % 4 }),
+            1..=8,
+        ),
+        batches in prop::collection::vec(
+            prop::collection::vec((any::<usize>(), 0..=3usize), 1..=2),
+            8..=48,
+        ),
+    ) {
+        let clos = ClosNetwork::standard(2);
+        assert_edit_sequence::<Rational>(&clos, &capacities, &raw, &batches);
+        assert_edit_sequence::<TotalF64>(&clos, &capacities, &raw, &batches);
+    }
+}
+
+/// Single-entry edits on a loaded description replay most rounds: the
+/// resumption is exercised, not merely harmless.
+#[test]
+fn single_edits_replay_rounds() {
+    let clos = ClosNetwork::standard(3);
+    let raw: Vec<_> = (0..18)
+        .map(|k| (k % 6, k % 3, (k * 5 + 1) % 6, (k + 1) % 3, k % 3, false))
+        .collect();
+    let mut batches: Vec<Vec<(usize, usize)>> = (0..18).map(|k| vec![(k, 1 + k % 3)]).collect();
+    batches.extend((0..18).map(|k| vec![(17 - k, k % 2)]));
+    let replayed = assert_edit_sequence::<Rational>(&clos, &[2, 3, 4], &raw, &batches);
+    assert!(replayed > 0, "no round was replayed");
+    let replayed = assert_edit_sequence::<TotalF64>(&clos, &[2, 3, 4], &raw, &batches);
+    assert!(replayed > 0, "no round was replayed");
+}
+
+/// A run never resumes against another instance, even a recompile of the
+/// same network, nor after `begin`, nor on a weighted description; it
+/// resumes again once it has run against the new instance.
+#[test]
+fn resumes_only_the_same_instance_and_description() {
+    let clos = ClosNetwork::standard(3);
+    let raw: Vec<_> = (0..9)
+        .map(|k| (k % 6, k % 3, (k + 2) % 6, k % 3, k % 3, false))
+        .collect();
+    let (first, pool) = replay_pool::<Rational>(&clos, &[2], &raw);
+    let (recompiled, _) = replay_pool::<Rational>(&clos, &[2], &raw);
+    let mut counts = vec![1; pool.len()];
+    let mut scratch = WaterfillScratch::new();
+    scratch.begin();
+    for links in &pool {
+        scratch.push_flows(links, 0);
+    }
+    for i in 0..pool.len() {
+        scratch.set_multiplicity(i, 1);
+    }
+    assert_eq!(scratch.dirty_links().len(), {
+        let mut links: Vec<usize> = pool.concat();
+        links.sort_unstable();
+        links.dedup();
+        links.len()
+    });
+    assert_eq!(
+        assert_resumed_equals_fresh(&first, &mut scratch, &pool, &counts),
+        0
+    );
+    assert!(scratch.dirty_links().is_empty(), "a run takes the edits in");
+
+    // An unchanged description replays every round against its instance.
+    let rounds = scratch.levels().len();
+    assert_eq!(
+        assert_resumed_equals_fresh(&first, &mut scratch, &pool, &counts),
+        rounds
+    );
+    assert_eq!(scratch.replayed_entries(), pool.len());
+    assert_eq!(scratch.replayed_flows(), pool.len());
+
+    // The recompiled instance is not the one the log was written for.
+    counts[8] = 2;
+    scratch.set_multiplicity(8, 2);
+    assert_eq!(
+        assert_resumed_equals_fresh(&recompiled, &mut scratch, &pool, &counts),
+        0
+    );
+    assert_eq!(scratch.replayed_entries(), 0);
+    assert_eq!(
+        assert_resumed_equals_fresh(&recompiled, &mut scratch, &pool, &counts),
+        scratch.levels().len()
+    );
+
+    // `begin` starts a description that is not edited in place: no dirty
+    // links, no resumption.
+    scratch.begin();
+    for links in &pool {
+        scratch.push_flow(links);
+    }
+    assert!(scratch.dirty_links().is_empty());
+    first.run(&mut scratch);
+    first.run(&mut scratch);
+    assert_eq!(scratch.replayed_rounds(), 0);
+
+    // Nor does a weighted description, edited in place or not.
+    scratch.begin();
+    for links in &pool {
+        scratch.push_weighted_flow(links, Rational::new(1, 2));
+    }
+    scratch.set_multiplicity(0, 2);
+    first.run(&mut scratch);
+    scratch.set_multiplicity(0, 3);
+    first.run(&mut scratch);
+    assert_eq!(scratch.replayed_rounds(), 0);
+}

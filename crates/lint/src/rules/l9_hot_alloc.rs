@@ -15,9 +15,9 @@
 //!
 //! The roots are the compile/run split's run-side entry points:
 //! `CompiledInstance::evaluate`, `Problem::evaluate`,
-//! `WaterfillInstance::run`, the `WaterfillScratch` begin/push
-//! increments, `EvalScratch::sorted_by`, the `ChurnEngine`
-//! arrive/depart/mark-dirty increments, and every objective's
+//! `WaterfillInstance::run`, the `WaterfillScratch`
+//! begin/push/set-multiplicity increments, `EvalScratch::sorted_by`, the
+//! `ChurnEngine` arrive/depart increments, and every objective's
 //! `beats`/`prefix_cannot_beat` pruning hooks. Deliberately *not* roots:
 //! `key`/`prefix_bound` (documented may-allocate — `LexMaxMin::key`
 //! sorts a copied rate vector) and `ChurnEngine::flush` (the amortized
@@ -37,10 +37,10 @@ const ROOT_METHODS: &[(&str, &str)] = &[
     ("WaterfillInstance", "run"),
     ("WaterfillScratch", "begin"),
     ("WaterfillScratch", "push_flow"),
+    ("WaterfillScratch", "set_multiplicity"),
     ("EvalScratch", "sorted_by"),
     ("ChurnEngine", "arrive"),
     ("ChurnEngine", "depart"),
-    ("ChurnEngine", "mark_dirty"),
 ];
 
 /// Pruning hooks every objective implements; hot on every search node.

@@ -192,6 +192,10 @@ pub mod counters {
     /// Links saturated during water-filling (may exceed rounds when several
     /// links saturate at the same level).
     pub static WATERFILL_SATURATIONS: Counter = Counter::new("waterfill.saturations");
+    /// Water-filling rounds a run over an edited-in-place description
+    /// replayed from the previous run instead of recomputing (counted
+    /// in `waterfill.rounds` too).
+    pub static WATERFILL_REPLAYED_ROUNDS: Counter = Counter::new("waterfill.replayed_rounds");
     /// Simplex solves (`LinearProgram::solve`).
     pub static SIMPLEX_SOLVES: Counter = Counter::new("simplex.solves");
     /// Simplex pivots across both phases.
@@ -238,17 +242,18 @@ pub mod counters {
     pub static CHURN_DEPARTURES: Counter = Counter::new("churn.departures");
     /// Churn recompute epochs (batched incremental water-filling runs).
     pub static CHURN_EPOCHS: Counter = Counter::new("churn.epochs");
-    /// Links whose flow set or capacity changed since the previous
-    /// churn epoch.
+    /// Links whose live-flow count changed since the previous churn
+    /// epoch.
     pub static CHURN_DIRTY_LINKS: Counter = Counter::new("churn.dirty_links");
-    /// Live flows whose rates a churn epoch recomputed (all of them).
+    /// Live flows whose rates a churn epoch recomputed: the live flows
+    /// less `churn.reused_flows`.
     pub static CHURN_RECOMPUTED_FLOWS: Counter = Counter::new("churn.recomputed_flows");
     /// Live paths a churn epoch recomputed, one waterfill entry each
     /// (`churn.recomputed_flows` over this is the mean number of flows
-    /// sharing a path).
+    /// sharing a recomputed path).
     pub static CHURN_RECOMPUTED_PATHS: Counter = Counter::new("churn.recomputed_paths");
-    /// Live flows whose cached rates a churn epoch reused untouched;
-    /// always 0, since every epoch recomputes every live path.
+    /// Live flows whose rates a churn epoch reused: those on paths that
+    /// froze in water-filling rounds replayed from the previous epoch.
     pub static CHURN_REUSED_FLOWS: Counter = Counter::new("churn.reused_flows");
     /// Failure overlays applied to a churn engine (`apply_failure`
     /// calls that changed at least one link).
@@ -270,11 +275,12 @@ pub mod counters {
 
     /// Every registered counter, in a stable order.
     #[must_use]
-    pub fn all() -> [&'static Counter; 33] {
+    pub fn all() -> [&'static Counter; 34] {
         [
             &WATERFILL_CALLS,
             &WATERFILL_ROUNDS,
             &WATERFILL_SATURATIONS,
+            &WATERFILL_REPLAYED_ROUNDS,
             &SIMPLEX_SOLVES,
             &SIMPLEX_PIVOTS,
             &SIMPLEX_DEGENERATE_PIVOTS,
