@@ -20,6 +20,11 @@
 //! `events_per_sec`) as noisy. `--stable` zeroes the wall-derived metrics so the report is
 //! byte-reproducible for baseline refreshes.
 //!
+//! The wall clock covers trace generation as well as the engine: events
+//! are drawn from the `TraceGenerator` inside the timed loop, so
+//! `events_per_sec` is the rate of generating and applying them (the
+//! generator's departure queue is part of the measured cost).
+//!
 //! `--epochs-out PATH` additionally publishes the rate epochs: at every
 //! `--checkpoint` multiple of applied events the engine is flushed and
 //! one JSON line `{"event":…,"live":…,"checksum":"…"}` is appended.

@@ -10,9 +10,23 @@
 //! fully determined by the seed, so two generators with equal configs
 //! emit byte-identical traces — the property the cross-batch
 //! determinism checks in CI rely on.
+//!
+//! # Order contract
+//!
+//! Pending departures wait in a monotone radix heap over packed
+//! `time << 64 | key` keys (`DepartureQueue`). They leave in `(time,
+//! key)` order, and a departure due at the same nanosecond as the next
+//! arrival goes first (`time_ns <= next_arrival_ns`). The heap relies on
+//! the trace being monotone: a flow's departure is queued when it
+//! arrives, no earlier than any departure already emitted, so no key is
+//! ever pushed below the last one popped (a debug assertion checks it).
+//! This is the order a `BinaryHeap<Reverse<(time, key)>>` merge gives,
+//! which the tests keep as the reference. The generator knows its exact
+//! remaining length ([`ExactSizeIterator`]), so collecting a trace
+//! allocates once.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::fmt;
+use std::iter::FusedIterator;
 
 use clos_net::{ClosNetwork, Flow, NodeId};
 use clos_workloads::Workload;
@@ -80,7 +94,7 @@ pub struct TraceGenerator {
     destinations: Vec<NodeId>,
     replay: Vec<Flow>,
     replay_pos: usize,
-    departures: BinaryHeap<Reverse<(u64, FlowKey)>>,
+    departures: DepartureQueue,
     next_arrival_ns: u64,
     next_key: FlowKey,
     emitted: usize,
@@ -130,7 +144,7 @@ impl TraceGenerator {
             destinations,
             replay,
             replay_pos: 0,
-            departures: BinaryHeap::new(),
+            departures: DepartureQueue::new(),
             next_arrival_ns: 0,
             next_key: 0,
             emitted: 0,
@@ -176,6 +190,22 @@ impl TraceGenerator {
             f
         }
     }
+
+    /// Emits the next arrival and returns it with its departure time.
+    fn arrive(&mut self) -> (TimedEvent, u64) {
+        let time_ns = self.next_arrival_ns;
+        let key = self.next_key;
+        self.next_key += 1;
+        let flow = self.next_flow();
+        let life = self.sample_lifetime();
+        let gap = self.interarrival_mean_ns;
+        self.next_arrival_ns = time_ns + self.sample_exponential(gap);
+        let event = TimedEvent {
+            time_ns,
+            event: FlowEvent::Arrive { key, flow },
+        };
+        (event, time_ns + life)
+    }
 }
 
 impl Iterator for TraceGenerator {
@@ -186,7 +216,7 @@ impl Iterator for TraceGenerator {
             return None;
         }
         self.emitted += 1;
-        if let Some(&Reverse((time_ns, key))) = self.departures.peek() {
+        if let Some((time_ns, key)) = self.departures.peek() {
             if time_ns <= self.next_arrival_ns {
                 self.departures.pop();
                 return Some(TimedEvent {
@@ -195,25 +225,240 @@ impl Iterator for TraceGenerator {
                 });
             }
         }
-        let time_ns = self.next_arrival_ns;
-        let key = self.next_key;
-        self.next_key += 1;
-        let flow = self.next_flow();
-        let life = self.sample_lifetime();
-        self.departures.push(Reverse((time_ns + life, key)));
-        let gap = self.interarrival_mean_ns;
-        self.next_arrival_ns = time_ns + self.sample_exponential(gap);
-        Some(TimedEvent {
-            time_ns,
-            event: FlowEvent::Arrive { key, flow },
-        })
+        let (arrival, departs_ns) = self.arrive();
+        self.departures.push(departs_ns, arrival.event.key());
+        Some(arrival)
     }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.budget - self.emitted;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for TraceGenerator {}
+
+impl FusedIterator for TraceGenerator {}
+
+/// Bits per digit of the departure queue's radix.
+const DIGIT_BITS: u32 = 8;
+/// Buckets per digit level.
+const RADIX: usize = 1 << DIGIT_BITS;
+/// Digit levels of a 128-bit packed key.
+const LEVELS: usize = 128 / DIGIT_BITS as usize;
+/// Occupancy words, one bit per bucket; at most 64 so that one summary
+/// word covers them.
+const WORDS: usize = LEVELS * RADIX / 64;
+const _: () = assert!(128 % DIGIT_BITS == 0 && WORDS <= 64);
+
+/// The pending departures: a monotone radix heap over packed
+/// `time << 64 | key` keys.
+///
+/// A pending key `k` lives in the bucket named by the highest digit in
+/// which it differs from `last`, the last *popped* key, and by its own
+/// value of that digit. Every pending key is above `last`, so buckets in
+/// index order hold ascending, disjoint key ranges, and the queue's
+/// minimum is the cached minimum of the first occupied bucket. Popping it
+/// makes it the new `last` and moves the rest of its bucket to strictly
+/// lower digit levels, so a key moves at most once per level. That is
+/// sound only while keys are distinct (flow keys are) and no key is
+/// pushed below `last`: the generator pushes departures after their
+/// arrival, which comes no earlier than any departure already emitted.
+#[derive(Clone)]
+struct DepartureQueue {
+    last: u128,
+    buckets: Vec<Vec<u128>>,
+    /// Each bucket's minimum, `u128::MAX` when empty.
+    mins: Vec<u128>,
+    /// Bit `b` set when bucket `b` is non-empty.
+    occupied: [u64; WORDS],
+    /// Bit `w` set when `occupied[w]` is non-zero.
+    summary: u64,
+}
+
+impl DepartureQueue {
+    fn new() -> DepartureQueue {
+        DepartureQueue {
+            last: 0,
+            buckets: vec![Vec::new(); LEVELS * RADIX],
+            mins: vec![u128::MAX; LEVELS * RADIX],
+            occupied: [0; WORDS],
+            summary: 0,
+        }
+    }
+
+    /// Queues the departure of `key` at `time_ns`.
+    fn push(&mut self, time_ns: u64, key: FlowKey) {
+        self.insert((u128::from(time_ns) << 64) | u128::from(key));
+    }
+
+    /// The earliest pending departure, ties broken by key.
+    fn peek(&self) -> Option<(u64, FlowKey)> {
+        self.first().map(|b| unpack(self.mins[b]))
+    }
+
+    /// Removes and returns the earliest pending departure.
+    fn pop(&mut self) -> Option<(u64, FlowKey)> {
+        let b = self.first()?;
+        let min = self.mins[b];
+        self.last = min;
+        self.mins[b] = u128::MAX;
+        self.occupied[b / 64] &= !(1 << (b % 64));
+        if self.occupied[b / 64] == 0 {
+            self.summary &= !(1 << (b / 64));
+        }
+        let mut moved = std::mem::take(&mut self.buckets[b]);
+        for &k in &moved {
+            if k != min {
+                self.insert(k);
+            }
+        }
+        moved.clear();
+        self.buckets[b] = moved;
+        Some(unpack(min))
+    }
+
+    fn first(&self) -> Option<usize> {
+        if self.summary == 0 {
+            return None;
+        }
+        let w = self.summary.trailing_zeros() as usize;
+        Some(w * 64 + self.occupied[w].trailing_zeros() as usize)
+    }
+
+    fn insert(&mut self, k: u128) {
+        debug_assert!(k > self.last, "departure queued below the last one popped");
+        let level = (127 - (k ^ self.last).leading_zeros()) / DIGIT_BITS;
+        let digit = (k >> (level * DIGIT_BITS)) as usize & (RADIX - 1);
+        let b = level as usize * RADIX + digit;
+        self.buckets[b].push(k);
+        self.mins[b] = self.mins[b].min(k);
+        self.occupied[b / 64] |= 1 << (b % 64);
+        self.summary |= 1 << (b / 64);
+    }
+}
+
+impl fmt::Debug for DepartureQueue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DepartureQueue")
+            .field("next", &self.peek())
+            .finish_non_exhaustive()
+    }
+}
+
+fn unpack(k: u128) -> (u64, FlowKey) {
+    ((k >> 64) as u64, k as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::{BTreeSet, BinaryHeap};
+
+    /// The reference trace: the generator's own arrivals, with pending
+    /// departures merged through a `BinaryHeap` of `(time, key)`.
+    fn heap_merge(clos: &ClosNetwork, cfg: &TraceConfig) -> Vec<TimedEvent> {
+        let mut g = TraceGenerator::new(clos, cfg);
+        let mut heap = BinaryHeap::new();
+        let mut out = Vec::new();
+        while out.len() < cfg.events {
+            if let Some(&Reverse((time_ns, key))) = heap.peek() {
+                if time_ns <= g.next_arrival_ns {
+                    heap.pop();
+                    out.push(TimedEvent {
+                        time_ns,
+                        event: FlowEvent::Depart { key },
+                    });
+                    continue;
+                }
+            }
+            let (arrival, departs_ns) = g.arrive();
+            heap.push(Reverse((departs_ns, arrival.event.key())));
+            out.push(arrival);
+        }
+        out
+    }
+
+    fn lifetime() -> impl Strategy<Value = SizeDist> {
+        prop_oneof![
+            (1u64..2_000_000).prop_map(|mean_ns| SizeDist::Exponential { mean_ns }),
+            // A few short values drawn again and again make departures
+            // tie in time; `u64::MAX / 4` leaves flows pending for good.
+            prop::collection::vec(prop_oneof![0u64..64, Just(1_000), Just(u64::MAX / 4)], 1..6)
+                .prop_map(|lifetimes_ns| SizeDist::Empirical { lifetimes_ns }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The radix queue emits the heap merge's trace event for event,
+        /// and the generator's length is exact at every step.
+        #[test]
+        fn trace_matches_binary_heap_merge(
+            seed in any::<u64>(),
+            rate in 1_000u64..2_000_000_000,
+            lifetime in lifetime(),
+            replay in any::<bool>(),
+            events in 0usize..800,
+        ) {
+            let clos = ClosNetwork::standard(2);
+            let pattern = if replay {
+                Pattern::Replay(Workload::Permutation)
+            } else {
+                Pattern::Uniform
+            };
+            let cfg = TraceConfig {
+                arrival_rate_per_sec: rate,
+                lifetime,
+                pattern,
+                events,
+                seed,
+            };
+            let expected = heap_merge(&clos, &cfg);
+            let mut g = TraceGenerator::new(&clos, &cfg);
+            for (i, want) in expected.iter().enumerate() {
+                prop_assert_eq!(g.len(), events - i);
+                prop_assert_eq!(g.size_hint(), (events - i, Some(events - i)));
+                prop_assert_eq!(g.next().as_ref(), Some(want));
+            }
+            prop_assert_eq!(g.len(), 0);
+            prop_assert_eq!(g.next(), None);
+            prop_assert_eq!(g.next(), None);
+        }
+
+        /// Pushes, peeks and pops in any order agree with a `BinaryHeap`,
+        /// for times that tie, step by one or jump across many digits.
+        #[test]
+        fn queue_matches_binary_heap(
+            ops in prop::collection::vec(
+                (0u8..3, prop_oneof![0u64..3, 0u64..1 << 20, 0u64..1 << 62]),
+                0..400
+            ),
+        ) {
+            let mut queue = DepartureQueue::new();
+            let mut heap = BinaryHeap::new();
+            let (mut last_ns, mut key) = (0, 0);
+            for (op, delta) in ops {
+                if op == 0 {
+                    let popped = queue.pop();
+                    prop_assert_eq!(popped, heap.pop().map(|Reverse(d)| d));
+                    if let Some((time_ns, _)) = popped {
+                        last_ns = time_ns;
+                    }
+                } else {
+                    // Keys are fresh, so a push at the last popped time
+                    // still sorts after it.
+                    key += 1;
+                    queue.push(last_ns + delta, key);
+                    heap.push(Reverse((last_ns + delta, key)));
+                }
+                prop_assert_eq!(queue.peek(), heap.peek().map(|&Reverse(d)| d));
+            }
+        }
+    }
 
     fn config(pattern: Pattern, events: usize, seed: u64) -> TraceConfig {
         TraceConfig {

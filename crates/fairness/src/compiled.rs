@@ -539,9 +539,7 @@ impl<S: Scalar> WaterfillInstance<S> {
             // Counted as if the round had run.
             counters::WATERFILL_ROUNDS.incr();
             counters::WATERFILL_REPLAYED_ROUNDS.incr();
-            for _ in a0..a1 {
-                counters::WATERFILL_SATURATIONS.incr();
-            }
+            counters::WATERFILL_SATURATIONS.add((a1 - a0) as u64);
             for &f in &s.frozen_order[f0..f1] {
                 s.frozen[f] = true;
                 flows += if multiplied { s.multiplicity[f] } else { 1 };

@@ -7,9 +7,11 @@
 //! receiver type is unknown, the edge fans out to every workspace method
 //! of that name. Reachability answers must err on the side of "reachable"
 //! so the graph rules (L7–L10) never silently excuse a real violation;
-//! precision comes from the two cases that matter in this workspace and
+//! precision comes from the cases that matter in this workspace and
 //! are resolved exactly — `self.method(…)` binds to the enclosing impl's
-//! method when one exists, and `module::fn(…)` binds to the named module.
+//! method when one exists, `counters::NAME.method(…)` and
+//! `timers::NAME.method(…)` bind to the telemetry `Counter`/`Timer`
+//! methods, and `module::fn(…)` binds to the named module.
 //!
 //! What the extractor cannot see, [`CallGraph::reachable`] can compensate
 //! for: operator expressions (`a + b`), `?`/`format!` desugarings, and
@@ -62,6 +64,10 @@ const PROTOCOL_FNS: [&str; 31] = [
     "hash",
     "from_str",
 ];
+
+/// Modules of `clos-telemetry`'s registry statics, with the type of
+/// every static they hold: `counters::NAME.add(n)` calls `Counter::add`.
+const REGISTRY_STATICS: [(&str, &str); 2] = [("counters", "Counter"), ("timers", "Timer")];
 
 /// The linked call graph: one adjacency list per [`FnId`].
 #[derive(Clone, Debug)]
@@ -139,11 +145,22 @@ impl CallGraph {
                     let Some(caller) = caller else {
                         continue; // method calls need a body
                     };
-                    let receiver_is_self = i
-                        .checked_sub(2)
-                        .map(|r| &toks[r])
-                        .is_some_and(|r| r.is_ident("self"));
-                    resolve_method(table, caller, &t.text, receiver_is_self)
+                    let receiver = |back: usize| i.checked_sub(back).map(|r| &toks[r]);
+                    let receiver_is_self = receiver(2).is_some_and(|r| r.is_ident("self"));
+                    // `counters::NAME.method(…)` / `timers::NAME.method(…)`:
+                    // the receiver is a telemetry registry static.
+                    let registry = match (receiver(4), receiver(3), receiver(2)) {
+                        (Some(module), Some(sep), Some(name))
+                            if sep.is_punct("::") && name.kind == TokenKind::Ident =>
+                        {
+                            REGISTRY_STATICS
+                                .iter()
+                                .find(|(m, _)| module.is_ident(m))
+                                .map(|&(_, ty)| ty)
+                        }
+                        _ => None,
+                    };
+                    resolve_method(table, caller, &t.text, receiver_is_self, registry)
                 } else if next_is("(") {
                     resolve_plain(table, fi, &t.text)
                 } else {
@@ -279,20 +296,26 @@ fn resolve_qualified(table: &ItemTable, caller: Option<FnId>, qual: &str, name: 
 }
 
 /// `receiver.name(…)`: `self` binds to the enclosing impl's own method
-/// when it has one; anything else fans out to every workspace method of
-/// that name (receiver types are unknown without type inference).
+/// when it has one, and a telemetry registry static (`registry`, its
+/// type) to that type's method; anything else fans out to every
+/// workspace method of that name (receiver types are unknown without
+/// type inference).
 fn resolve_method(
     table: &ItemTable,
     caller: FnId,
     name: &str,
     receiver_is_self: bool,
+    registry: Option<&str>,
 ) -> Vec<FnId> {
-    if receiver_is_self {
-        if let Some(ty) = &table.fns[caller].self_type {
-            let own = table.methods_of(ty, name);
-            if !own.is_empty() {
-                return own.to_vec();
-            }
+    let known = if receiver_is_self {
+        table.fns[caller].self_type.as_deref()
+    } else {
+        registry
+    };
+    if let Some(ty) = known {
+        let own = table.methods_of(ty, name);
+        if !own.is_empty() {
+            return own.to_vec();
         }
     }
     table.methods_named(name)
@@ -427,6 +450,42 @@ mod tests {
         let graph = CallGraph::build(&ws, &table);
         let go = fn_id(&table, "go", None);
         assert_eq!(graph.edges[go].len(), 2);
+    }
+
+    #[test]
+    fn registry_statics_bind_to_counter_and_timer_methods() {
+        let ws = workspace(&[
+            (
+                "crates/telemetry/src/registry.rs",
+                "pub struct Counter; pub struct Timer;\n\
+                 impl Counter { pub fn add(&self, _: u64) {} }\n\
+                 impl Timer { pub fn record(&self) {} }\n\
+                 pub mod counters { pub static HITS: super::Counter = super::Counter; }\n\
+                 pub mod timers { pub static T: super::Timer = super::Timer; }",
+            ),
+            (
+                "crates/lp/src/lib.rs",
+                "pub struct Lp;\n\
+                 impl Lp { pub fn add(&self, _: u64) { let _ = Vec::<u8>::new(); } }\n\
+                 impl Lp { pub fn record(&self) {} }",
+            ),
+            (
+                "crates/a/src/lib.rs",
+                "use fx_telemetry::{counters, timers};\n\
+                 pub fn hot(n: u64) { counters::HITS.add(n); timers::T.record(); }\n\
+                 pub fn cold(x: &u64) { x.add(1); }",
+            ),
+        ]);
+        let table = ItemTable::build(&ws);
+        let graph = CallGraph::build(&ws, &table);
+        let hot = fn_id(&table, "hot", None);
+        let counter_add = fn_id(&table, "add", Some("Counter"));
+        let timer_record = fn_id(&table, "record", Some("Timer"));
+        assert_eq!(graph.edges[hot], vec![counter_add, timer_record]);
+        // Any other receiver still fans out.
+        let cold = fn_id(&table, "cold", None);
+        let lp_add = fn_id(&table, "add", Some("Lp"));
+        assert_eq!(graph.edges[cold], vec![counter_add, lp_add]);
     }
 
     #[test]

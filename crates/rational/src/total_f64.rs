@@ -172,18 +172,45 @@ fn add_repeated_by_binades(mut acc: f64, x: f64, mut k: usize) -> f64 {
 
 impl Eq for TotalF64 {}
 
+// NaN is excluded at construction, so the plain float comparisons are a
+// total order (with -0.0 == +0.0, as `PartialEq` has it).
 impl PartialOrd for TotalF64 {
     #[inline]
     fn partial_cmp(&self, other: &TotalF64) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+
+    #[inline]
+    fn lt(&self, other: &TotalF64) -> bool {
+        self.0 < other.0
+    }
+
+    #[inline]
+    fn le(&self, other: &TotalF64) -> bool {
+        self.0 <= other.0
+    }
+
+    #[inline]
+    fn gt(&self, other: &TotalF64) -> bool {
+        self.0 > other.0
+    }
+
+    #[inline]
+    fn ge(&self, other: &TotalF64) -> bool {
+        self.0 >= other.0
     }
 }
 
 impl Ord for TotalF64 {
     #[inline]
     fn cmp(&self, other: &TotalF64) -> Ordering {
-        // Safe: NaN is excluded at construction.
-        self.0.partial_cmp(&other.0).expect("TotalF64 holds no NaN")
+        if self.0 < other.0 {
+            Ordering::Less
+        } else if self.0 > other.0 {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
     }
 }
 

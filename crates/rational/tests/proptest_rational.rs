@@ -11,6 +11,30 @@ fn rational() -> impl Strategy<Value = Rational> {
     (-1000i128..=1000, 1i128..=1000).prop_map(|(n, d)| Rational::new(n, d))
 }
 
+/// Any `f64` but NaN: arbitrary bit patterns (every binade and sign),
+/// weighted towards ±0.0, ±∞, the extremes and the subnormals.
+fn non_nan_f64() -> impl Strategy<Value = f64> {
+    let special = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        5e-324,
+        -5e-324,
+    ];
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        (0u64..1 << 52).prop_map(f64::from_bits),
+        (0u64..1 << 52).prop_map(|m| -f64::from_bits(m)),
+        (0usize..special.len()).prop_map(move |i| special[i]),
+    ]
+    .prop_filter("NaN has no order", |x| !x.is_nan())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -95,6 +119,22 @@ proptest! {
             // after conversion.
             prop_assert!(a.to_f64() <= b.to_f64() + 1e-9);
         }
+    }
+
+    /// `TotalF64`'s order is `f64`'s wherever `f64` has one: every
+    /// non-NaN pair, with ±0.0 equal, ±∞ at the ends and subnormals in
+    /// between.
+    #[test]
+    fn total_f64_order_matches_f64(a in non_nan_f64(), b in non_nan_f64()) {
+        let (x, y) = (TotalF64::new(a), TotalF64::new(b));
+        let want = a.partial_cmp(&b).unwrap();
+        prop_assert_eq!(x.cmp(&y), want);
+        prop_assert_eq!(x.partial_cmp(&y), Some(want));
+        prop_assert_eq!(x < y, a < b);
+        prop_assert_eq!(x <= y, a <= b);
+        prop_assert_eq!(x > y, a > b);
+        prop_assert_eq!(x >= y, a >= b);
+        prop_assert_eq!(x == y, a == b);
     }
 
     #[test]
