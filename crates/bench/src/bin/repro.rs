@@ -157,15 +157,15 @@ fn run_e2(quick: bool, rec: &mut ExperimentRecord) {
 
 fn run_e3(quick: bool, rec: &mut ExperimentRecord) {
     let ns: Vec<usize> = if quick { vec![3] } else { vec![3, 4, 5, 8, 16] };
-    // The exact search decides n <= 4 (29 flows); from n = 5 the
+    // The exact search decides n <= 5 (46 flows); from n = 8 the
     // certificate takes over.
-    let exact_limit = 4;
+    let exact_limit = 5;
     rec.param("ns", format!("{ns:?}"));
     rec.param("exact_limit", exact_limit);
     let rows = e3_replication::run(&ns, exact_limit);
     println!("{}", e3_replication::render(&rows));
     println!("Theorem 4.2: the full collection is infeasible at macro rates");
-    println!("(exact search at n <= 4, Claim 4.5 arithmetic certificate for");
+    println!("(exact search at n <= 5, Claim 4.5 arithmetic certificate for");
     println!("all n); dropping the type-3 flow restores feasibility.");
     rec.result("rows", rows.len());
     apply_verdicts(rec, e3_replication::verdicts(&rows));

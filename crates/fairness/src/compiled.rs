@@ -31,15 +31,17 @@
 //! (compacted only on rounds that empty a link) and caches every link's
 //! saturation level, refreshing it right after a round's update pass
 //! touches the link. One scan then finds the minimum level and the links
-//! at it, in ascending order, and the round freezes from that list. Bottleneck order, the frozen-load sums (counted, see below), and
-//! the divisions are those of textbook progressive filling — every round
+//! at it, in ascending order, and the round freezes from that list.
+//!
+//! Bottleneck order, the frozen-load sums (counted, see below), and the
+//! divisions are those of textbook progressive filling — every round
 //! recomputes every level and makes two full passes in link order — so
 //! rates, levels, and bottlenecks are bit-identical to it in every scalar
 //! mode. The `compiled_equivalence` test suite checks that against a
 //! plain reference implementation.
 //!
-//! An unweighted run does not depend on the order of the member lists: a
-//! round visits the links at its level in ascending order, so an entry's
+//! A run does not depend on the order of the member lists: a round
+//! visits the links at its level in ascending order, so an entry's
 //! bottleneck is its first such link whichever member reaches it first,
 //! and the round's frozen-load adds are counted per link (see below), so
 //! the order in which entries freeze within a round changes no sum.
@@ -58,7 +60,9 @@
 //! single adds would. A round therefore costs one operation per touched
 //! link, not per frozen flow. Rates, levels, and bottlenecks are
 //! bit-identical to pushing the `m` flows one by one, in any order, in
-//! every scalar mode.
+//! every scalar mode. Weighted fairness is described this way too:
+//! [`max_min_fair_weighted`] scales its weights to integers and gives
+//! each flow its scaled weight as multiplicity.
 //!
 //! [`WaterfillScratch::set_multiplicity`] changes an entry's multiplicity
 //! in place: its links' flow counts move by the difference, and an entry
@@ -102,23 +106,9 @@
 //!
 //! A run never resumes after `begin` (searches, oracles, and the
 //! [`max_min_fair`] wrappers describe every run afresh, and neither log
-//! nor track anything), on a weighted description, against a different
-//! instance (every compile is a new identity, so a recompile under new
-//! capacities starts afresh), or after a run that did not complete.
-//!
-//! # Weights
-//!
-//! [`WaterfillScratch::push_weighted_flow`] gives an entry a weight `w`
-//! ([`max_min_fair_weighted`]). A link's level is then its residual
-//! capacity divided by the summed weights of its unfrozen flows; an entry
-//! freezes at rate `w · level`, added once to each of its links' frozen
-//! load in the update pass, since those adds differ from flow to flow.
-//! Without weighted entries the weight vector stays empty and the
-//! unweighted arithmetic runs unchanged; a multiplicity-`m` entry in a
-//! weighted run counts as `m` flows of unit weight. Those per-flow sums
-//! depend on member order, which is push order until an entry is removed,
-//! so a weighted description is built by pushes alone (removing one of
-//! its entries panics).
+//! nor track anything), against a different instance (every compile is a
+//! new identity, so a recompile under new capacities starts afresh), or
+//! after a run that did not complete.
 //!
 //! # The scratch-reuse contract
 //!
@@ -192,20 +182,7 @@ impl<S: Scalar> WaterfillInstance<S> {
     /// Compiles every finite link of `net`, in network link order.
     #[must_use]
     pub fn compile(net: &Network) -> WaterfillInstance<S> {
-        let mut instance = WaterfillInstance {
-            id: NEXT_INSTANCE_ID.fetch_add(1, Ordering::AcqRel),
-            dense_of_link: vec![None; net.link_count()],
-            link_ids: Vec::with_capacity(net.link_count()),
-            capacities: Vec::with_capacity(net.link_count()),
-        };
-        for link in net.links() {
-            if let Some(cap) = link.capacity().finite() {
-                instance.dense_of_link[link.id().index()] = Some(instance.link_ids.len());
-                instance.link_ids.push(link.id());
-                instance.capacities.push(S::from_rational(cap));
-            }
-        }
-        instance
+        WaterfillInstance::compile_where(net, net.link_count(), |_| true)
     }
 
     /// Compiles only the given subset of `net`'s links (duplicates and
@@ -223,14 +200,24 @@ impl<S: Scalar> WaterfillInstance<S> {
             assert!(l.index() < net.link_count(), "link outside the network");
             keep[l.index()] = true;
         }
+        WaterfillInstance::compile_where(net, links.len(), |l| keep[l.index()])
+    }
+
+    /// Compiles the finite links of `net` that `keep` accepts, in network
+    /// link order, presizing the dense tables for `expected` links.
+    fn compile_where(
+        net: &Network,
+        expected: usize,
+        keep: impl Fn(LinkId) -> bool,
+    ) -> WaterfillInstance<S> {
         let mut instance = WaterfillInstance {
             id: NEXT_INSTANCE_ID.fetch_add(1, Ordering::AcqRel),
             dense_of_link: vec![None; net.link_count()],
-            link_ids: Vec::new(),
-            capacities: Vec::new(),
+            link_ids: Vec::with_capacity(expected),
+            capacities: Vec::with_capacity(expected),
         };
         for link in net.links() {
-            if !keep[link.id().index()] {
+            if !keep(link.id()) {
                 continue;
             }
             if let Some(cap) = link.capacity().finite() {
@@ -318,26 +305,7 @@ impl<S: Scalar> WaterfillInstance<S> {
         // current; the run only copies the counts it consumes.
         s.active_count.clear();
         s.active_count.extend_from_slice(&s.link_flows[..links]);
-        // Weighted runs fill a link by the summed weights of its active
-        // flows instead of their count (entries pushed without a weight
-        // after the last weighted one have unit weight). Members are in
-        // push order, so each link sums its weights in entry order.
         let multiplied = !s.multiplicity.is_empty();
-        let weighted = !s.weights.is_empty();
-        if weighted {
-            s.weights.resize(flows, S::one());
-            s.active_weight.clear();
-            s.active_weight.resize(links, S::zero());
-            for d in 0..links {
-                for &f in &s.members[d] {
-                    let f = f as usize;
-                    let m = if multiplied { s.multiplicity[f] } else { 1 };
-                    for _ in 0..m {
-                        s.active_weight[d] += s.weights[f];
-                    }
-                }
-            }
-        }
 
         // Results of zero-multiplicity entries are left as they were, so
         // only entries described since the last run are initialized.
@@ -367,7 +335,7 @@ impl<S: Scalar> WaterfillInstance<S> {
         // run against the instance of the last (complete) logged run
         // replays the rounds its edits cannot change (see the module
         // docs); the round loop continues from the first other one.
-        let logging = s.in_place && !weighted;
+        let logging = s.in_place;
         let resume = logging && s.log.instance == Some(self.id);
         s.log.instance = None;
         s.replayed = Replayed::default();
@@ -377,7 +345,7 @@ impl<S: Scalar> WaterfillInstance<S> {
         s.levels.reserve(s.live);
         for d in 0..links {
             if s.active_count[d] > 0 {
-                s.link_level[d] = self.level(s, d, weighted);
+                s.link_level[d] = self.level(s, d);
                 s.active_links.push(d);
             }
         }
@@ -422,11 +390,7 @@ impl<S: Scalar> WaterfillInstance<S> {
                     let f = f as usize;
                     if !s.frozen[f] {
                         s.frozen[f] = true;
-                        s.rates[f] = if weighted {
-                            s.weights[f] * level
-                        } else {
-                            level
-                        };
+                        s.rates[f] = level;
                         s.bottleneck_of[f] = d;
                         s.frozen_order.push(f);
                     }
@@ -441,19 +405,10 @@ impl<S: Scalar> WaterfillInstance<S> {
                 for k in s.flow_starts[f]..s.flow_starts[f + 1] {
                     let d = s.flow_links[k];
                     s.active_count[d] -= m;
-                    // Unweighted, every add of the round is `level`: count
-                    // them, and the refresh below adds them in one call
-                    // (so the order of the round's frozen entries does not
-                    // matter). Weighted rates differ per flow, so add them
-                    // here, in member order.
-                    if weighted {
-                        for _ in 0..m {
-                            s.frozen_load[d] += s.rates[f];
-                            s.active_weight[d] -= s.weights[f];
-                        }
-                    } else {
-                        s.frozen_adds[d] += m;
-                    }
+                    // Every add of the round is `level`: count them, and
+                    // the refresh below adds them in one call (so the
+                    // order of the round's frozen entries does not matter).
+                    s.frozen_adds[d] += m;
                     if !s.stale[d] {
                         s.stale[d] = true;
                         s.touched.push(d);
@@ -472,7 +427,7 @@ impl<S: Scalar> WaterfillInstance<S> {
                 let adds = std::mem::take(&mut s.frozen_adds[d]);
                 if s.active_count[d] > 0 {
                     s.frozen_load[d] = s.frozen_load[d].add_repeated(level, adds);
-                    s.link_level[d] = self.level(s, d, weighted);
+                    s.link_level[d] = self.level(s, d);
                 } else {
                     emptied = true;
                 }
@@ -518,7 +473,7 @@ impl<S: Scalar> WaterfillInstance<S> {
         for i in 0..s.dirty_links.len() {
             let d = s.dirty_links[i];
             if s.active_count[d] > 0 {
-                s.link_level[d] = self.level(s, d, false);
+                s.link_level[d] = self.level(s, d);
             }
         }
         let multiplied = !s.multiplicity.is_empty();
@@ -550,7 +505,7 @@ impl<S: Scalar> WaterfillInstance<S> {
                 if s.dirty[d] {
                     if s.active_count[d] > 0 {
                         s.frozen_load[d] = s.frozen_load[d].add_repeated(level, adds);
-                        s.link_level[d] = self.level(s, d, false);
+                        s.link_level[d] = self.level(s, d);
                     }
                     s.log.touched[t].2 = s.frozen_load[d];
                 } else {
@@ -567,18 +522,12 @@ impl<S: Scalar> WaterfillInstance<S> {
         round
     }
 
-    /// Link `d`'s residual capacity per unit of active weight (per active
-    /// flow when unweighted) — the fill level at which it saturates if no
-    /// other link freezes its members first.
-    fn level(&self, s: &WaterfillScratch<S>, d: usize, weighted: bool) -> S {
+    /// Link `d`'s residual capacity per active flow — the fill level at
+    /// which it saturates if no other link freezes its members first.
+    fn level(&self, s: &WaterfillScratch<S>, d: usize) -> S {
         let (cap, load) = (self.capacities[d], s.frozen_load[d]);
         let residual = if cap > load { cap - load } else { S::zero() };
-        let active = if weighted {
-            s.active_weight[d]
-        } else {
-            S::from_usize(s.active_count[d])
-        };
-        residual / active
+        residual / S::from_usize(s.active_count[d])
     }
 }
 
@@ -599,10 +548,6 @@ pub struct WaterfillScratch<S> {
     /// an entry that is described but absent); empty while every entry
     /// is a single flow, so unit pushes cost nothing.
     multiplicity: Vec<usize>,
-    /// Per-entry weight; empty while every entry has unit weight, and
-    /// shorter than the entry list when unit entries follow the last
-    /// weighted one (the run pads it with ones).
-    weights: Vec<S>,
     /// Per-link member list: the entry of every slot of `flow_links` on
     /// the link whose entry has a nonzero multiplicity (an entry crossing
     /// the link twice is listed twice). Push order until an entry loses
@@ -620,13 +565,11 @@ pub struct WaterfillScratch<S> {
     frozen_order: Vec<usize>,
     /// Per-link count of unfrozen member flows.
     active_count: Vec<usize>,
-    /// Per-link summed weight of unfrozen member flows (weighted runs).
-    active_weight: Vec<S>,
     /// Per-link load already committed by frozen flows (as of the
     /// last refresh; an emptied link's stops there).
     frozen_load: Vec<S>,
     /// Per-link count of `level` adds the current round's update pass
-    /// owes `frozen_load` (unweighted runs).
+    /// owes `frozen_load`.
     frozen_adds: Vec<usize>,
     /// Cached per-link saturation level of every active link.
     link_level: Vec<S>,
@@ -705,7 +648,6 @@ impl<S: Scalar> WaterfillScratch<S> {
             flow_links: Vec::new(),
             flow_starts: vec![0],
             multiplicity: Vec::new(),
-            weights: Vec::new(),
             members: Vec::new(),
             link_flows: Vec::new(),
             live: 0,
@@ -713,7 +655,6 @@ impl<S: Scalar> WaterfillScratch<S> {
             frozen: Vec::new(),
             frozen_order: Vec::new(),
             active_count: Vec::new(),
-            active_weight: Vec::new(),
             frozen_load: Vec::new(),
             frozen_adds: Vec::new(),
             link_level: Vec::new(),
@@ -757,7 +698,6 @@ impl<S: Scalar> WaterfillScratch<S> {
         self.flow_starts.clear();
         self.flow_starts.push(0);
         self.multiplicity.clear();
-        self.weights.clear();
         self.live = 0;
         self.in_place = false;
         self.clear_dirty();
@@ -798,22 +738,6 @@ impl<S: Scalar> WaterfillScratch<S> {
         }
     }
 
-    /// Appends one flow of weight `weight` crossing `links`: the run
-    /// fills it at `weight` times the level of its links and gives its
-    /// rate, so `weight` one reproduces [`Self::push_flow`] bit for bit
-    /// (see the module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is not strictly positive.
-    pub fn push_weighted_flow(&mut self, links: &[usize], weight: S) {
-        assert!(weight > S::zero(), "weights must be strictly positive");
-        // Every earlier entry without a weight has unit weight.
-        self.weights.resize(self.flow_count(), S::one());
-        self.weights.push(weight);
-        self.push_flow(links);
-    }
-
     /// Changes entry `entry`'s multiplicity to `multiplicity`, updating
     /// its links' flow counts, and their member lists when the entry
     /// gains its first flow or loses its last (a loss scans each of its
@@ -829,9 +753,7 @@ impl<S: Scalar> WaterfillScratch<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `entry` is out of range, or if an entry of a weighted
-    /// description loses its last flow (weighted runs read the member
-    /// lists in push order, which removal would reorder).
+    /// Panics if `entry` is out of range.
     pub fn set_multiplicity(&mut self, entry: usize, multiplicity: usize) {
         self.in_place = true;
         self.change_multiplicity(entry, multiplicity);
@@ -874,7 +796,6 @@ impl<S: Scalar> WaterfillScratch<S> {
     /// member lists (one record per slot, found by a scan of the link's
     /// list and swap-removed) and flow counts.
     fn delist(&mut self, entry: usize, m: usize) {
-        assert!(self.weights.is_empty(), "weighted entries keep their flows");
         for k in self.flow_starts[entry]..self.flow_starts[entry + 1] {
             let d = self.flow_links[k];
             let list = &mut self.members[d];

@@ -11,9 +11,11 @@
 //! [`max_min_fair_traced`] and the weighted [`max_min_fair_weighted`] are
 //! wrappers over it, certified independently by the two verifiers.
 //!
-//! Everything is generic over [`Scalar`], so the same allocator runs exactly
-//! (over [`Rational`], used for all theorem verification) and fast (over
-//! [`TotalF64`], used by the large-scale simulator).
+//! The water-fill and the unweighted wrappers are generic over [`Scalar`],
+//! so the same allocator runs exactly (over [`Rational`], used for all
+//! theorem verification) and fast (over [`TotalF64`], used by the
+//! large-scale simulator). [`max_min_fair_weighted`] takes [`Rational`]
+//! weights, which it scales to integer multiplicities.
 //!
 //! # Examples
 //!

@@ -175,14 +175,14 @@ pub fn max_min_fair_traced<S: Scalar>(
     ))
 }
 
-/// Compiles `net`, describes the routed flows into a fresh scratch (with
-/// per-flow `weights`, if given), and runs it once — the body shared by
-/// the allocating wrappers.
+/// Compiles `net`, describes the routed flows into a fresh scratch (flow
+/// `i` as one entry of `multiplicities[i]` identical flows, if given),
+/// and runs it once — the body shared by the allocating wrappers.
 pub(crate) fn compile_and_run<S: Scalar>(
     net: &Network,
     flows: &[Flow],
     routing: &Routing,
-    weights: Option<&[S]>,
+    multiplicities: Option<&[usize]>,
 ) -> Result<(WaterfillInstance<S>, WaterfillScratch<S>), FairnessError> {
     assert_eq!(
         routing.len(),
@@ -217,8 +217,8 @@ pub(crate) fn compile_and_run<S: Scalar>(
         if buf.is_empty() {
             return Err(FairnessError::UnboundedRate(FlowId::from(i)));
         }
-        match weights {
-            Some(weights) => scratch.push_weighted_flow(&buf, weights[i]),
+        match multiplicities {
+            Some(multiplicities) => scratch.push_flows(&buf, multiplicities[i]),
             None => scratch.push_flow(&buf),
         }
     }

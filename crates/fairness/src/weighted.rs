@@ -10,13 +10,13 @@
 //! Theorem 4.3 (see the `weighted_rescues_theorem_4_3` test and example
 //! E9 discussion).
 //!
-//! The filling itself is the compiled waterfill's, fed weighted entries
-//! ([`WaterfillScratch::push_weighted_flow`](crate::WaterfillScratch::push_weighted_flow));
-//! this module holds the allocating wrapper and the weighted entry point
-//! of the bottleneck certificate.
+//! The filling itself is the compiled waterfill's plain one: weights
+//! become multiplicities (see [`max_min_fair_weighted`]). This module
+//! holds that wrapper and the weighted entry point of the bottleneck
+//! certificate.
 
 use clos_net::{Flow, Network, Routing};
-use clos_rational::Scalar;
+use clos_rational::{Rational, Scalar};
 
 use crate::{Allocation, FairnessError};
 
@@ -27,8 +27,16 @@ use crate::{Allocation, FairnessError};
 /// All rates rise as `w_f · λ` for a common level `λ`; when a link
 /// saturates, the flows crossing it freeze. Weights must be strictly
 /// positive. With all weights equal this reduces exactly to
-/// [`max_min_fair`]; like it, this is a compile-describe-run wrapper over
-/// the [`compiled`](crate::compiled) waterfill.
+/// [`max_min_fair`].
+///
+/// The rates do not change when every weight is scaled by one factor, and
+/// a flow of integer weight `k` fills exactly like `k` identical unit
+/// flows. So this wrapper scales the weights by their common denominator
+/// `L` to integers `k_f = L·w_f`, describes flow `f` to the plain
+/// [`compiled`](crate::compiled) waterfill as one entry of multiplicity
+/// `k_f`, and returns `a(f) = k_f · ρ_f`, where `ρ_f` is the entry's
+/// per-flow rate. Every level of that run is the weighted level `λ`
+/// divided by `L`, so its rounds and bottlenecks are the weighted ones.
 ///
 /// # Errors
 ///
@@ -37,8 +45,10 @@ use crate::{Allocation, FairnessError};
 ///
 /// # Panics
 ///
-/// Panics if weights/routing do not match the flow collection or any
-/// weight is non-positive.
+/// Panics if weights/routing do not match the flow collection, if any
+/// weight is non-positive, or if a scaled weight `k_f` exceeds
+/// `usize::MAX` (the scaling itself panics where `Rational` arithmetic
+/// overflows).
 ///
 /// # Examples
 ///
@@ -62,15 +72,37 @@ use crate::{Allocation, FairnessError};
 /// ```
 ///
 /// [`max_min_fair`]: crate::max_min_fair
-pub fn max_min_fair_weighted<S: Scalar>(
+pub fn max_min_fair_weighted(
     net: &Network,
     flows: &[Flow],
     routing: &Routing,
-    weights: &[S],
-) -> Result<Allocation<S>, FairnessError> {
+    weights: &[Rational],
+) -> Result<Allocation<Rational>, FairnessError> {
     assert_eq!(weights.len(), flows.len(), "weights/flows length mismatch");
-    let (_, scratch) = crate::waterfill::compile_and_run(net, flows, routing, Some(weights))?;
-    Ok(Allocation::from_rates(scratch.rates().to_vec()))
+    assert!(
+        weights.iter().all(|w| w.is_positive()),
+        "weights must be strictly positive"
+    );
+    // `L` grows to the least common multiple of the denominators seen so
+    // far: `L·w` is reduced, so its denominator is the factor missing.
+    let scale = weights.iter().fold(Rational::ONE, |l, &w| {
+        l * Rational::from_integer((l * w).denominator())
+    });
+    let scaled: Vec<Rational> = weights.iter().map(|&w| scale * w).collect();
+    assert!(
+        scaled.iter().all(|&k| k <= Rational::from(usize::MAX)),
+        "scaled weights must fit in usize"
+    );
+    let multiplicities: Vec<usize> = scaled.iter().map(|k| k.numerator() as usize).collect();
+    let (_, scratch) =
+        crate::waterfill::compile_and_run(net, flows, routing, Some(&multiplicities))?;
+    let rates = scratch
+        .rates()
+        .iter()
+        .zip(&scaled)
+        .map(|(&rate, &k)| k * rate)
+        .collect();
+    Ok(Allocation::from_rates(rates))
 }
 
 /// Verifies the weighted bottleneck property — the Lemma 2.2 analogue for
@@ -325,6 +357,20 @@ mod tests {
         let flows = [Flow::new(ms.source(0, 0), ms.destination(0, 0))];
         let routing = ms.routing(&flows);
         let _ = max_min_fair_weighted(ms.network(), &flows, &routing, &[Rational::ZERO]);
+    }
+
+    #[test]
+    #[should_panic(expected = "fit in usize")]
+    fn scaled_weight_above_usize_rejected() {
+        // The common denominator 2 scales 2^63 to 2^64 > usize::MAX.
+        let ms = MacroSwitch::standard(1);
+        let flows = [
+            Flow::new(ms.source(0, 0), ms.destination(0, 0)),
+            Flow::new(ms.source(1, 0), ms.destination(0, 0)),
+        ];
+        let routing = ms.routing(&flows);
+        let weights = [r(1, 2), Rational::from_integer(1 << 63)];
+        let _ = max_min_fair_weighted(ms.network(), &flows, &routing, &weights);
     }
 
     #[test]

@@ -22,12 +22,20 @@
 //! [`Snapshot::delta_since`] yields the per-experiment deltas the `repro`
 //! binary embeds in its reports:
 //!
-//! * water-filling: calls, freezing rounds, link saturation events;
+//! * water-filling: calls, freezing rounds, link saturation events,
+//!   rounds replayed from the previous run, warm-scratch reuse;
 //! * simplex: solves, pivots, degenerate pivots;
 //! * Hopcroft–Karp: calls, BFS phases, augmenting paths;
 //! * König coloring: calls, edge passes, alternating-path flips;
 //! * routing-objective searches: runs, canonical assignments enumerated,
-//!   incumbent improvements.
+//!   incumbent improvements, pruned subtrees, proven and skipped blocks;
+//! * churn engines: events, arrivals, departures, epochs, dirty links,
+//!   recomputed flows and paths, reused flows;
+//! * failures and reroutes: overlays applied, links degraded, flows
+//!   rerouted, reroute dead ends;
+//! * topology: non-Clos fabric builds and their routing classes;
+//! * timers: `waterfill`, `simplex`, `search`, `search.compile`,
+//!   `churn.epoch`.
 //!
 //! # Machine-readable reports
 //!

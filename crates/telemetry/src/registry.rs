@@ -185,7 +185,8 @@ impl Drop for TimerGuard<'_> {
 pub mod counters {
     use super::Counter;
 
-    /// Water-filling invocations (`max_min_fair_traced`).
+    /// Water-filling runs (`WaterfillInstance::run`, which every
+    /// allocator, search evaluation and churn epoch calls).
     pub static WATERFILL_CALLS: Counter = Counter::new("waterfill.calls");
     /// Water-filling freezing rounds (one per fill level).
     pub static WATERFILL_ROUNDS: Counter = Counter::new("waterfill.rounds");
@@ -335,8 +336,9 @@ pub mod timers {
     /// Wall time compiling a search instance (dense incidence tables),
     /// paid once per search rather than once per evaluated routing.
     pub static SEARCH_COMPILE: Timer = Timer::new("search.compile");
-    /// Wall time inside churn recompute epochs (region discovery plus the
-    /// incremental water-filling run).
+    /// Wall time inside churn recompute epochs (the resumed water-filling
+    /// run, the write-back of shown paths, and the oracle check when
+    /// enabled).
     pub static CHURN_EPOCH: Timer = Timer::new("churn.epoch");
 
     /// Every registered timer, in a stable order.
