@@ -184,7 +184,7 @@ struct PathClass {
 }
 
 /// One flow's bookkeeping (slots are reused through a free list after
-/// the flow departs).
+/// the flow departs): three 32-bit ids, 12 bytes.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     key: FlowKey,
@@ -260,7 +260,7 @@ pub struct ChurnEngine<S, F: Fabric = ClosNetwork> {
     /// counts the policy reads.
     scratch: WaterfillScratch<S>,
     oracle_scratch: WaterfillScratch<S>,
-    // Apply-time work buffers, reused across events.
+    // Work buffers, reused across events and oracle checks.
     path_buf: Vec<LinkId>,
     dense_buf: Vec<usize>,
     class_loads: Vec<u32>,
@@ -336,7 +336,7 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
     }
 
     /// Dense link indices of `path`.
-    fn links_of(&self, path: u32) -> &[usize] {
+    fn links_of(&self, path: u32) -> &[u32] {
         self.scratch.entry_links(path as usize)
     }
 
@@ -391,13 +391,13 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
     fn interior_load(&self, path: u32) -> u32 {
         self.interior(path)
             .iter()
-            .map(|&d| self.scratch.link_flows(d) as u32)
+            .map(|&d| self.scratch.link_flows(d as usize) as u32)
             .fold(0, u32::max)
     }
 
     /// The interior links of `path` (all of them if it has fewer than
     /// three).
-    fn interior(&self, path: u32) -> &[usize] {
+    fn interior(&self, path: u32) -> &[u32] {
         let links = self.links_of(path);
         let len = links.len();
         if len >= 3 {
@@ -545,8 +545,10 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         for si in 0..self.slots.len() {
             let path = self.slots[si].path;
             if path != NO_PATH {
-                self.oracle_scratch
-                    .push_flow(self.scratch.entry_links(path as usize));
+                self.dense_buf.clear();
+                let links = self.scratch.entry_links(path as usize);
+                self.dense_buf.extend(links.iter().map(|&d| d as usize));
+                self.oracle_scratch.push_flow(&self.dense_buf);
             }
         }
         self.instance.run(&mut self.oracle_scratch);
@@ -635,7 +637,7 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             if path == NO_PATH {
                 continue;
             }
-            let dead = |d: &usize| self.instance.capacity(*d).is_zero();
+            let dead = |d: &u32| self.instance.capacity(*d as usize).is_zero();
             let links = self.links_of(path);
             if !links.iter().any(dead) {
                 continue;
@@ -708,7 +710,7 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
     /// shown path's as of the last flush, or, if it arrived since, rate
     /// zero on its first link (the source's access link, which every
     /// class of the flow shares).
-    fn published(&self, slot: &Slot) -> (S, usize) {
+    fn published(&self, slot: &Slot) -> (S, u32) {
         if slot.shown == NO_PATH {
             (S::zero(), self.links_of(slot.path)[0])
         } else {
@@ -750,7 +752,7 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
     #[must_use]
     pub fn bottleneck(&self, key: FlowKey) -> Option<LinkId> {
         self.slot(key)
-            .map(|s| self.instance.link_id(self.published(s).1))
+            .map(|s| self.instance.link_id(self.published(s).1 as usize))
     }
 
     /// Iterates over `(key, rate)` of every live flow in slot order (a
@@ -780,10 +782,11 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         levels
     }
 
-    /// FNV-1a digest of the live allocation (keys and rate bits in slot
-    /// order, plus the live count) as of the last flush. Engines fed
-    /// the same trace agree at every common flushed checkpoint
-    /// regardless of batch size; CI byte-diffs these across batches.
+    /// FNV-1a digest of the live allocation (keys, widened to 64 bits,
+    /// and rate bits in slot order, plus the live count) as of the last
+    /// flush. Engines fed the same trace agree at every common flushed
+    /// checkpoint regardless of batch size; CI byte-diffs these across
+    /// batches.
     #[must_use]
     pub fn checksum(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -794,7 +797,7 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             }
         };
         for (key, rate) in self.live_flows() {
-            fold(key);
+            fold(u64::from(key));
             fold(rate.to_f64().to_bits());
         }
         fold(self.live as u64);
@@ -814,6 +817,11 @@ mod tests {
             OnlinePolicy::greedy(),
             ChurnConfig { batch, verify },
         )
+    }
+
+    #[test]
+    fn slot_is_three_u32s() {
+        assert_eq!(std::mem::size_of::<Slot>(), 12);
     }
 
     #[test]
@@ -842,7 +850,7 @@ mod tests {
                 clos.destination(2 + k % 2, 0),
             );
             e.apply(FlowEvent::Arrive {
-                key: k as u64,
+                key: k as FlowKey,
                 flow,
             });
         }
@@ -868,7 +876,7 @@ mod tests {
         // paths for five flows.
         for (key, flow) in [x, x, y, y, y].into_iter().enumerate() {
             e.apply(FlowEvent::Arrive {
-                key: key as u64,
+                key: key as FlowKey,
                 flow,
             });
         }
@@ -1012,26 +1020,26 @@ mod tests {
         for t in 0..terminals {
             let flow = Flow::new(benes.source(t), benes.destination((t + 3) % terminals));
             e.apply(FlowEvent::Arrive {
-                key: t as u64,
+                key: t as FlowKey,
                 flow,
             });
         }
         assert_eq!(e.live(), terminals);
         for t in 0..terminals {
-            let class = e.class_of(t as u64).expect("live flow has a placement");
+            let class = e.class_of(t as FlowKey).expect("live flow has a placement");
             assert!(class < 4);
-            assert!(e.rate(t as u64).expect("rate published").is_positive());
+            assert!(e.rate(t as FlowKey).expect("rate published").is_positive());
         }
         // Depart half (emptying some paths of their flows), then
         // re-arrive onto reused slots.
         for t in (0..terminals).step_by(2) {
-            e.apply(FlowEvent::Depart { key: t as u64 });
+            e.apply(FlowEvent::Depart { key: t as FlowKey });
         }
         assert_eq!(e.live(), terminals / 2);
         for t in (0..terminals).step_by(2) {
             let flow = Flow::new(benes.source(t), benes.destination((t + 5) % terminals));
             e.apply(FlowEvent::Arrive {
-                key: (terminals + t) as u64,
+                key: (terminals + t) as FlowKey,
                 flow,
             });
         }

@@ -5,6 +5,15 @@
 //! (by key). Keys are assigned by the trace layer in arrival order and
 //! identify a flow across its whole lifetime, so a `Depart` needs no
 //! endpoint information.
+//!
+//! # Widths
+//!
+//! A [`FlowKey`] is 32 bits wide, the width of a `NodeId`, a `LinkId`
+//! and the engine's slot and path ids. A trace therefore holds fewer
+//! than 2^32 arrivals (the trace generator panics before the 2^32nd),
+//! and a collected trace costs 16 bytes per [`FlowEvent`] (a key beside
+//! two 4-byte node ids) and 24 per [`TimedEvent`]. The engine indexes a
+//! dense table by key, so a wider key could not be used anyway.
 
 use clos_net::Flow;
 
@@ -14,7 +23,7 @@ use clos_net::Flow;
 /// arrival gets key 0); the engine exploits that density with an
 /// index-keyed lookup table, so externally produced traces should keep
 /// keys small and never reuse a key for a second arrival.
-pub type FlowKey = u64;
+pub type FlowKey = u32;
 
 /// One flow arriving or departing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -66,6 +75,13 @@ pub struct TimedEvent {
 mod tests {
     use super::*;
     use clos_net::ClosNetwork;
+
+    /// The layouts the module docs' widths promise.
+    #[test]
+    fn event_sizes() {
+        assert_eq!(std::mem::size_of::<FlowEvent>(), 16);
+        assert_eq!(std::mem::size_of::<TimedEvent>(), 24);
+    }
 
     #[test]
     fn event_accessors() {

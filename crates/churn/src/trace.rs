@@ -85,6 +85,11 @@ pub struct TraceConfig {
 /// [`TraceConfig::events`] events; flows still live at that point
 /// simply never see their departure emitted, which leaves the engine
 /// with a realistic standing population.
+///
+/// # Panics
+///
+/// Iterating panics before the 2^32nd arrival: keys are 32 bits wide
+/// (see [`FlowKey`]).
 #[derive(Clone, Debug)]
 pub struct TraceGenerator {
     rng: SmallRng,
@@ -155,7 +160,7 @@ impl TraceGenerator {
     /// Returns the number of flows that have arrived so far.
     #[must_use]
     pub fn arrivals(&self) -> u64 {
-        self.next_key
+        u64::from(self.next_key)
     }
 
     fn sample_exponential(&mut self, mean: f64) -> u64 {
@@ -192,9 +197,18 @@ impl TraceGenerator {
     }
 
     /// Emits the next arrival and returns it with its departure time.
+    ///
+    /// # Panics
+    ///
+    /// Panics before the 2^32nd arrival, whose key would not fit a
+    /// [`FlowKey`].
     fn arrive(&mut self) -> (TimedEvent, u64) {
         let time_ns = self.next_arrival_ns;
         let key = self.next_key;
+        assert!(
+            key < FlowKey::MAX,
+            "a churn trace holds fewer than 2^32 arrivals (flow keys are 32 bits)"
+        );
         self.next_key += 1;
         let flow = self.next_flow();
         let life = self.sample_lifetime();
@@ -347,7 +361,7 @@ impl fmt::Debug for DepartureQueue {
 }
 
 fn unpack(k: u128) -> (u64, FlowKey) {
-    ((k >> 64) as u64, k as u64)
+    ((k >> 64) as u64, k as FlowKey)
 }
 
 #[cfg(test)]
@@ -523,6 +537,21 @@ mod tests {
         for (i, flow) in seen.iter().enumerate() {
             assert_eq!(*flow, expected[i % expected.len()]);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than 2^32 arrivals")]
+    fn key_space_exhaustion_panics() {
+        let clos = ClosNetwork::standard(2);
+        let mut g = TraceGenerator::new(&clos, &config(Pattern::Uniform, 4, 1));
+        // The last key a trace may hand out is `FlowKey::MAX - 1`.
+        g.next_key = FlowKey::MAX - 1;
+        let first = g.next().expect("a budgeted event");
+        assert_eq!(first.event.key(), FlowKey::MAX - 1);
+        // One flow is pending, so of the next two events at least one is
+        // an arrival.
+        g.next();
+        g.next();
     }
 
     #[test]

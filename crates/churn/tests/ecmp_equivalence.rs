@@ -3,7 +3,7 @@
 //! `gen_range(0..n)` draw per flow from an identically seeded `StdRng`.
 
 use clos_churn::{
-    ChurnConfig, ChurnEngine, FlowEvent, OnlinePolicy, Pattern, SizeDist, TraceConfig,
+    ChurnConfig, ChurnEngine, FlowEvent, FlowKey, OnlinePolicy, Pattern, SizeDist, TraceConfig,
     TraceGenerator,
 };
 use clos_core::routers::{macro_demands, EcmpRouter, Router};
@@ -40,7 +40,7 @@ fn online_ecmp_reproduces_batch_ecmp_on_arrival_only_traces() {
     let demands = macro_demands(&clos, &ms, &flows);
     let routing = EcmpRouter::new(99).route(&clos, &demands, &flows);
     for (k, (path, &flow)) in routing.paths().iter().zip(&flows).enumerate() {
-        let middle = engine.class_of(k as u64).expect("all flows stay live");
+        let middle = engine.class_of(k as FlowKey).expect("all flows stay live");
         assert_eq!(
             path,
             &clos.path_via(flow, middle),

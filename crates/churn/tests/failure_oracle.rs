@@ -4,7 +4,7 @@
 //! exercise path multiplicities changing on zero-capacity links.
 
 use clos_churn::{
-    ChurnConfig, ChurnEngine, FlowEvent, LocalReroute, OnlinePolicy, Pattern, SizeDist,
+    ChurnConfig, ChurnEngine, FlowEvent, FlowKey, LocalReroute, OnlinePolicy, Pattern, SizeDist,
     TraceConfig, TraceGenerator,
 };
 use clos_fairness::{WaterfillInstance, WaterfillScratch};
@@ -20,7 +20,7 @@ fn assert_matches_fresh_run<S: Scalar + std::fmt::Debug>(engine: &ChurnEngine<S>
     let instance = WaterfillInstance::<S>::compile(clos.network());
     let mut scratch = WaterfillScratch::new();
     scratch.begin();
-    let live: Vec<(u64, S)> = engine.live_flows().collect();
+    let live: Vec<(FlowKey, S)> = engine.live_flows().collect();
     for &(key, _) in &live {
         let flow = engine.flow(key).expect("live flow has endpoints");
         let middle = engine.class_of(key).expect("live flow has a placement");
@@ -37,7 +37,7 @@ fn assert_matches_fresh_run<S: Scalar + std::fmt::Debug>(engine: &ChurnEngine<S>
         assert_eq!(rate, scratch.rates()[i], "rate of key {key} diverged");
         assert_eq!(
             engine.bottleneck(key),
-            Some(instance.link_id(scratch.bottlenecks()[i])),
+            Some(instance.link_id(scratch.bottlenecks()[i] as usize)),
             "bottleneck of key {key} diverged"
         );
     }
@@ -187,7 +187,7 @@ fn departure_races_middle_death_in_one_batch() {
     engine.flush();
 
     // Survivors routed through the dead middle are starved...
-    let starved: Vec<u64> = engine
+    let starved: Vec<FlowKey> = engine
         .live_flows()
         .filter(|&(_, r)| r.is_zero())
         .map(|(k, _)| k)

@@ -3,7 +3,7 @@
 //! modes, at every batch size.
 
 use clos_churn::{
-    ChurnConfig, ChurnEngine, FlowEvent, OnlinePolicy, Pattern, SizeDist, TraceConfig,
+    ChurnConfig, ChurnEngine, FlowEvent, FlowKey, OnlinePolicy, Pattern, SizeDist, TraceConfig,
     TraceGenerator,
 };
 use clos_fairness::{WaterfillInstance, WaterfillScratch};
@@ -20,7 +20,7 @@ fn assert_matches_fresh_run<S: Scalar + std::fmt::Debug>(engine: &ChurnEngine<S>
     let instance = WaterfillInstance::<S>::compile(clos.network());
     let mut scratch = WaterfillScratch::new();
     scratch.begin();
-    let live: Vec<(u64, S)> = engine.live_flows().collect();
+    let live: Vec<(FlowKey, S)> = engine.live_flows().collect();
     for &(key, _) in &live {
         let flow = engine.flow(key).expect("live flow has endpoints");
         let middle = engine.class_of(key).expect("live flow has a placement");
@@ -37,7 +37,7 @@ fn assert_matches_fresh_run<S: Scalar + std::fmt::Debug>(engine: &ChurnEngine<S>
         assert_eq!(rate, scratch.rates()[i], "rate of key {key} diverged");
         assert_eq!(
             engine.bottleneck(key),
-            Some(instance.link_id(scratch.bottlenecks()[i])),
+            Some(instance.link_id(scratch.bottlenecks()[i] as usize)),
             "bottleneck of key {key} diverged"
         );
     }
@@ -158,8 +158,8 @@ proptest! {
         b.flush();
         prop_assert_eq!(a.checksum(), b.checksum());
         prop_assert_eq!(a.levels(), b.levels());
-        let rates_a: Vec<(u64, TotalF64)> = a.live_flows().collect();
-        let rates_b: Vec<(u64, TotalF64)> = b.live_flows().collect();
+        let rates_a: Vec<(FlowKey, TotalF64)> = a.live_flows().collect();
+        let rates_b: Vec<(FlowKey, TotalF64)> = b.live_flows().collect();
         prop_assert_eq!(rates_a, rates_b);
     }
 }
@@ -181,7 +181,7 @@ fn crowded_path<S: Scalar + std::fmt::Debug>() {
         },
     );
     let hot = Flow::new(clos.source(0, 0), clos.destination(2, 0));
-    let mut key = 0u64;
+    let mut key: FlowKey = 0;
     for _ in 0..240 {
         engine.apply(FlowEvent::Arrive { key, flow: hot });
         key += 1;

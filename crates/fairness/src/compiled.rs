@@ -27,11 +27,14 @@
 //! The run starts from the description's member lists and flow counts as
 //! they stand (nothing is sorted or rebuilt per run). Each round costs one
 //! pass over the links that still carry unfrozen flows, not two passes
-//! over every link. The run keeps those links in an ascending list
-//! (compacted only on rounds that empty a link) and caches every link's
-//! saturation level, refreshing it right after a round's update pass
-//! touches the link. One scan then finds the minimum level and the links
-//! at it, in ascending order, and the round freezes from that list.
+//! over every link. The run keeps those links in a list, from which a
+//! link that a round empties is swap-removed through a per-link position
+//! table, and caches every link's saturation level, refreshing it right
+//! after a round's update pass touches the link. One scan then finds the
+//! minimum level and the links at it; a round with more than one such
+//! link sorts them, and the round freezes from that ascending list. The
+//! update pass lists each touched link once, the first time it counts an
+//! add for it (its count of pending adds is still zero then).
 //!
 //! Bottleneck order, the frozen-load sums (counted, see below), and the
 //! divisions are those of textbook progressive filling — every round
@@ -109,6 +112,20 @@
 //! nor track anything), against a different instance (every compile is a
 //! new identity, so a recompile under new capacities starts afresh), or
 //! after a run that did not complete.
+//!
+//! # Index widths
+//!
+//! Every per-entry and per-slot index the scratch keeps is 32 bits wide,
+//! the width of a `LinkId` and of the member lists' entry ids: each
+//! entry's dense links and where they start, the freezing order, and each
+//! entry's bottleneck. A 4-link `TotalF64` entry thus costs 53 bytes of
+//! description and results, not 81. [`WaterfillScratch::push_flows`]
+//! still takes `usize` link indices and panics on one that does not fit
+//! in 32 bits, and a description holds fewer than 2^32 entries and link
+//! slots. A dense index always fits: it is below the network's link
+//! count, and link ids are 32 bits. A run reserves its fill levels for at
+//! most as many rounds as links (each round empties at least the links at
+//! its minimum), not one per entry.
 //!
 //! # The scratch-reuse contract
 //!
@@ -328,8 +345,8 @@ impl<S: Scalar> WaterfillInstance<S> {
         // the divisions drop from links-per-round to touched-links.
         s.link_level.clear();
         s.link_level.resize(links, S::zero());
-        s.stale.clear();
-        s.stale.resize(links, false);
+        // Read only for links on the active list, which set it.
+        s.active_pos.resize(links, 0);
 
         // An edited-in-place description is logged round by round, and a
         // run against the instance of the last (complete) logged run
@@ -341,11 +358,16 @@ impl<S: Scalar> WaterfillInstance<S> {
         s.replayed = Replayed::default();
         let replayed = if resume { self.replay(s) } else { 0 };
         s.truncate_to_round(replayed);
-        s.frozen_order.reserve(s.live);
-        s.levels.reserve(s.live);
+        // Every live entry freezes once, and every round empties at least
+        // the links at its minimum, so a run has at most `min(live,
+        // links)` rounds (replayed ones included).
+        s.frozen_order.reserve(s.live - s.frozen_order.len());
+        s.levels
+            .reserve(s.live.min(links).saturating_sub(s.levels.len()));
         for d in 0..links {
             if s.active_count[d] > 0 {
                 s.link_level[d] = self.level(s, d);
+                s.active_pos[d] = s.active_links.len();
                 s.active_links.push(d);
             }
         }
@@ -356,9 +378,9 @@ impl<S: Scalar> WaterfillInstance<S> {
                 s.log.open_round(s.frozen_order.len());
             }
             // One scan over the links that still carry unfrozen flows
-            // finds the minimum level and the links at it, ascending.
-            // Every unfrozen flow touches a compiled link (the caller
-            // contract), so while `remaining > 0` the list is not empty.
+            // finds the minimum level and the links at it. Every unfrozen
+            // flow touches a compiled link (the caller contract), so
+            // while `remaining > 0` the list is not empty.
             let mut min_level: Option<S> = None;
             s.at_minimum.clear();
             for &d in &s.active_links {
@@ -375,6 +397,11 @@ impl<S: Scalar> WaterfillInstance<S> {
             }
             let level =
                 min_level.expect("invariant: unfrozen flows always touch a compiled finite link");
+            // The active list is unordered; freezing visits the at-minimum
+            // links in ascending order.
+            if s.at_minimum.len() > 1 {
+                s.at_minimum.sort_unstable();
+            }
             if logging {
                 s.log.at_minimum.extend_from_slice(&s.at_minimum);
             }
@@ -387,11 +414,11 @@ impl<S: Scalar> WaterfillInstance<S> {
             for &d in &s.at_minimum {
                 counters::WATERFILL_SATURATIONS.incr();
                 for &f in &s.members[d] {
-                    let f = f as usize;
-                    if !s.frozen[f] {
-                        s.frozen[f] = true;
-                        s.rates[f] = level;
-                        s.bottleneck_of[f] = d;
+                    let e = f as usize;
+                    if !s.frozen[e] {
+                        s.frozen[e] = true;
+                        s.rates[e] = level;
+                        s.bottleneck_of[e] = d as u32;
                         s.frozen_order.push(f);
                     }
                 }
@@ -400,46 +427,45 @@ impl<S: Scalar> WaterfillInstance<S> {
             counters::WATERFILL_ROUNDS.incr();
             s.levels.push(level);
             for i in round_start..s.frozen_order.len() {
-                let f = s.frozen_order[i];
+                let f = s.frozen_order[i] as usize;
+                // A live entry has at least one flow, so a link's pending
+                // adds are zero only until the first one is counted.
                 let m = if multiplied { s.multiplicity[f] } else { 1 };
-                for k in s.flow_starts[f]..s.flow_starts[f + 1] {
-                    let d = s.flow_links[k];
+                for k in s.slots(f) {
+                    let d = s.flow_links[k] as usize;
                     s.active_count[d] -= m;
+                    if s.frozen_adds[d] == 0 {
+                        s.touched.push(d);
+                    }
                     // Every add of the round is `level`: count them, and
                     // the refresh below adds them in one call (so the
                     // order of the round's frozen entries does not matter).
                     s.frozen_adds[d] += m;
-                    if !s.stale[d] {
-                        s.stale[d] = true;
-                        s.touched.push(d);
-                    }
                 }
             }
             remaining -= s.frozen_order.len() - round_start;
             // Commit the counted adds and refresh the touched links'
-            // levels; drop emptied links from the active list (in place,
-            // keeping it ascending). An emptied link's load is never
-            // read again, so its last adds are skipped.
-            let mut emptied = false;
+            // levels; swap-remove emptied links from the active list. An
+            // emptied link's load is never read again, so its last adds
+            // are skipped.
             for i in 0..s.touched.len() {
                 let d = s.touched[i];
-                s.stale[d] = false;
                 let adds = std::mem::take(&mut s.frozen_adds[d]);
                 if s.active_count[d] > 0 {
                     s.frozen_load[d] = s.frozen_load[d].add_repeated(level, adds);
                     s.link_level[d] = self.level(s, d);
                 } else {
-                    emptied = true;
+                    let pos = s.active_pos[d];
+                    s.active_links.swap_remove(pos);
+                    if let Some(&moved) = s.active_links.get(pos) {
+                        s.active_pos[moved] = pos;
+                    }
                 }
                 if logging {
                     s.log.touched.push((d, adds, s.frozen_load[d]));
                 }
             }
             s.touched.clear();
-            if emptied {
-                let active_count = &s.active_count;
-                s.active_links.retain(|&d| active_count[d] > 0);
-            }
         }
         if logging {
             s.log.open_round(s.frozen_order.len());
@@ -448,7 +474,7 @@ impl<S: Scalar> WaterfillInstance<S> {
         // Every live entry froze; clear the flags for the next run, and
         // the edits this run has taken in.
         for i in 0..s.frozen_order.len() {
-            let f = s.frozen_order[i];
+            let f = s.frozen_order[i] as usize;
             s.frozen[f] = false;
         }
         s.clear_dirty();
@@ -496,6 +522,7 @@ impl<S: Scalar> WaterfillInstance<S> {
             counters::WATERFILL_REPLAYED_ROUNDS.incr();
             counters::WATERFILL_SATURATIONS.add((a1 - a0) as u64);
             for &f in &s.frozen_order[f0..f1] {
+                let f = f as usize;
                 s.frozen[f] = true;
                 flows += if multiplied { s.multiplicity[f] } else { 1 };
             }
@@ -541,9 +568,9 @@ pub struct WaterfillScratch<S> {
     /// Dense link indices of every entry, concatenated (a CSR layout with
     /// `flow_starts`). Duplicate entries count double, exactly like a
     /// path crossing the same link twice.
-    flow_links: Vec<usize>,
+    flow_links: Vec<u32>,
     /// `flow_links[flow_starts[i]..flow_starts[i + 1]]` are entry `i`'s.
-    flow_starts: Vec<usize>,
+    flow_starts: Vec<u32>,
     /// Per-entry count of identical flows the entry stands for (zero for
     /// an entry that is described but absent); empty while every entry
     /// is a single flow, so unit pushes cost nothing.
@@ -562,22 +589,21 @@ pub struct WaterfillScratch<S> {
     /// Per-entry frozen flag (all clear between runs).
     frozen: Vec<bool>,
     /// Entries in freezing order; the current round's are a suffix.
-    frozen_order: Vec<usize>,
+    frozen_order: Vec<u32>,
     /// Per-link count of unfrozen member flows.
     active_count: Vec<usize>,
     /// Per-link load already committed by frozen flows (as of the
     /// last refresh; an emptied link's stops there).
     frozen_load: Vec<S>,
     /// Per-link count of `level` adds the current round's update pass
-    /// owes `frozen_load`.
+    /// owes `frozen_load` (nonzero exactly for the links in `touched`).
     frozen_adds: Vec<usize>,
     /// Cached per-link saturation level of every active link.
     link_level: Vec<S>,
-    /// Per-link flag: the current round's update pass touched the link
-    /// (dedupes `touched`).
-    stale: Vec<bool>,
-    /// Links that still carry unfrozen flows, ascending.
+    /// Links that still carry unfrozen flows, in no particular order.
     active_links: Vec<usize>,
+    /// Per-link position in `active_links`, for the links on it.
+    active_pos: Vec<usize>,
     /// Active links at the current round's level, ascending.
     at_minimum: Vec<usize>,
     /// Links the current round's update pass touched, each once.
@@ -585,7 +611,7 @@ pub struct WaterfillScratch<S> {
     /// Fill level of each freezing round (the trace).
     levels: Vec<S>,
     /// Per-entry dense index of the link that froze it (the bottleneck).
-    bottleneck_of: Vec<usize>,
+    bottleneck_of: Vec<u32>,
     /// Whether this scratch has completed a run before (telemetry).
     warm: bool,
     /// Whether the description was edited in place
@@ -658,8 +684,8 @@ impl<S: Scalar> WaterfillScratch<S> {
             frozen_load: Vec::new(),
             frozen_adds: Vec::new(),
             link_level: Vec::new(),
-            stale: Vec::new(),
             active_links: Vec::new(),
+            active_pos: Vec::new(),
             at_minimum: Vec::new(),
             touched: Vec::new(),
             levels: Vec::new(),
@@ -691,8 +717,8 @@ impl<S: Scalar> WaterfillScratch<S> {
     pub fn begin(&mut self) {
         // Only the links of the previous description carry members.
         for &d in &self.flow_links {
-            self.members[d].clear();
-            self.link_flows[d] = 0;
+            self.members[d as usize].clear();
+            self.link_flows[d as usize] = 0;
         }
         self.flow_links.clear();
         self.flow_starts.clear();
@@ -706,6 +732,10 @@ impl<S: Scalar> WaterfillScratch<S> {
 
     /// Appends the next flow, crossing the given dense link indices (from
     /// [`WaterfillInstance::dense_index`]; duplicates count double).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::push_flows`].
     pub fn push_flow(&mut self, links: &[usize]) {
         self.push_flows(links, 1);
     }
@@ -716,18 +746,29 @@ impl<S: Scalar> WaterfillScratch<S> {
     /// and the result slices hold one element per entry. A multiplicity
     /// of zero describes the entry without any flow on it (it joins its
     /// links once [`Self::set_multiplicity`] gives it flows).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a link index does not fit in 32 bits, or if the
+    /// description would reach 2^32 entries or link slots (see the module
+    /// docs' index widths).
     pub fn push_flows(&mut self, links: &[usize], multiplicity: usize) {
         let entry = self.flow_count();
-        // Member lists hold entry ids as `u32`.
+        let slots = self.flow_links.len() + links.len();
         assert!(
-            entry < u32::MAX as usize,
-            "a description holds fewer than 2^32 entries"
+            entry < u32::MAX as usize && slots <= u32::MAX as usize,
+            "a description holds fewer than 2^32 entries and link slots"
         );
-        self.flow_links.extend_from_slice(links);
-        self.flow_starts.push(self.flow_links.len());
         if let Some(&last) = links.iter().max() {
+            assert!(
+                last <= u32::MAX as usize,
+                "dense link index {last} does not fit in 32 bits"
+            );
             self.grow_links(last + 1);
         }
+        // Both checked above.
+        self.flow_links.extend(links.iter().map(|&d| d as u32));
+        self.flow_starts.push(slots as u32);
         if multiplicity != 1 || !self.multiplicity.is_empty() {
             // Every earlier entry is a single flow.
             self.multiplicity.resize(entry, 1);
@@ -772,8 +813,8 @@ impl<S: Scalar> WaterfillScratch<S> {
         } else if old > 0 && multiplicity == 0 {
             self.delist(entry, old);
         } else if old != multiplicity {
-            for k in self.flow_starts[entry]..self.flow_starts[entry + 1] {
-                let d = self.flow_links[k];
+            for k in self.slots(entry) {
+                let d = self.flow_links[k] as usize;
                 self.link_flows[d] = self.link_flows[d] - old + multiplicity;
                 self.mark_dirty(d);
             }
@@ -783,8 +824,8 @@ impl<S: Scalar> WaterfillScratch<S> {
     /// Appends entry `entry`, of multiplicity `m`, to its links' member
     /// lists and flow counts.
     fn enlist(&mut self, entry: usize, m: usize) {
-        for k in self.flow_starts[entry]..self.flow_starts[entry + 1] {
-            let d = self.flow_links[k];
+        for k in self.slots(entry) {
+            let d = self.flow_links[k] as usize;
             self.members[d].push(entry as u32);
             self.link_flows[d] += m;
             self.mark_dirty(d);
@@ -796,8 +837,8 @@ impl<S: Scalar> WaterfillScratch<S> {
     /// member lists (one record per slot, found by a scan of the link's
     /// list and swap-removed) and flow counts.
     fn delist(&mut self, entry: usize, m: usize) {
-        for k in self.flow_starts[entry]..self.flow_starts[entry + 1] {
-            let d = self.flow_links[k];
+        for k in self.slots(entry) {
+            let d = self.flow_links[k] as usize;
             let list = &mut self.members[d];
             let Some(pos) = list.iter().position(|&e| e as usize == entry) else {
                 unreachable!("an entry with flows is a member of its links")
@@ -838,6 +879,11 @@ impl<S: Scalar> WaterfillScratch<S> {
         self.log.touched.truncate(touched);
     }
 
+    /// The slots of `flow_links` holding entry `entry`'s links.
+    fn slots(&self, entry: usize) -> std::ops::Range<usize> {
+        self.flow_starts[entry] as usize..self.flow_starts[entry + 1] as usize
+    }
+
     /// Grows the per-link tables to at least `links` links.
     fn grow_links(&mut self, links: usize) {
         if self.members.len() < links {
@@ -872,14 +918,15 @@ impl<S: Scalar> WaterfillScratch<S> {
         self.multiplicity.get(entry).copied().unwrap_or(1)
     }
 
-    /// Entry `entry`'s dense links, as pushed.
+    /// Entry `entry`'s dense links, as pushed (stored as `u32`, see the
+    /// module docs' index widths).
     ///
     /// # Panics
     ///
     /// Panics if `entry` is out of range.
     #[must_use]
-    pub fn entry_links(&self, entry: usize) -> &[usize] {
-        &self.flow_links[self.flow_starts[entry]..self.flow_starts[entry + 1]]
+    pub fn entry_links(&self, entry: usize) -> &[u32] {
+        &self.flow_links[self.slots(entry)]
     }
 
     /// Number of described flows crossing dense link `dense`: its
@@ -904,12 +951,18 @@ impl<S: Scalar> WaterfillScratch<S> {
         &self.levels
     }
 
-    /// Per-entry dense index of the bottleneck link of the last run (map
-    /// back with [`WaterfillInstance::link_id`]; zero-multiplicity
-    /// entries as for [`Self::rates`]).
+    /// Per-entry dense index of the bottleneck link of the last run, as
+    /// `u32` (map back with [`WaterfillInstance::link_id`];
+    /// zero-multiplicity entries as for [`Self::rates`]).
     #[must_use]
-    pub fn bottlenecks(&self) -> &[usize] {
+    pub fn bottlenecks(&self) -> &[u32] {
         &self.bottleneck_of
+    }
+
+    /// The per-entry rates of the last run, moved out of the scratch (the
+    /// allocating wrappers' result).
+    pub(crate) fn into_rates(self) -> Vec<S> {
+        self.rates
     }
 
     /// Dense links whose flow count changed since the last run, each
@@ -996,7 +1049,7 @@ mod tests {
         let bottlenecks: Vec<_> = scratch
             .bottlenecks()
             .iter()
-            .map(|&d| instance.link_id(d))
+            .map(|&d| instance.link_id(d as usize))
             .collect();
         assert_eq!(bottlenecks, trace.bottleneck_of);
     }
@@ -1052,6 +1105,15 @@ mod tests {
         );
         assert_eq!(sub.dense_index(full.link_id(3)), Some(1));
         assert_eq!(sub.dense_index(full.link_id(0)), None);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "does not fit in 32 bits")]
+    fn link_index_above_u32_rejected() {
+        let mut scratch = WaterfillScratch::<Rational>::new();
+        scratch.begin();
+        scratch.push_flow(&[0, u32::MAX as usize + 1]);
     }
 
     #[test]

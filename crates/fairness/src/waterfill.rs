@@ -94,7 +94,8 @@ pub fn max_min_fair<S: Scalar>(
     flows: &[Flow],
     routing: &Routing,
 ) -> Result<Allocation<S>, FairnessError> {
-    Ok(max_min_fair_traced(net, flows, routing)?.0)
+    let (_, scratch) = compile_and_run(net, flows, routing, None)?;
+    Ok(Allocation::from_rates(scratch.into_rates()))
 }
 
 /// A trace of the water-filling process: the fill levels in order and the
@@ -164,7 +165,7 @@ pub fn max_min_fair_traced<S: Scalar>(
     let bottleneck_of = scratch
         .bottlenecks()
         .iter()
-        .map(|&d| instance.link_id(d))
+        .map(|&d| instance.link_id(d as usize))
         .collect();
     Ok((
         Allocation::from_rates(scratch.rates().to_vec()),

@@ -96,12 +96,10 @@ pub fn max_min_fair_weighted(
     let multiplicities: Vec<usize> = scaled.iter().map(|k| k.numerator() as usize).collect();
     let (_, scratch) =
         crate::waterfill::compile_and_run(net, flows, routing, Some(&multiplicities))?;
-    let rates = scratch
-        .rates()
-        .iter()
-        .zip(&scaled)
-        .map(|(&rate, &k)| k * rate)
-        .collect();
+    let mut rates = scratch.into_rates();
+    for (rate, &k) in rates.iter_mut().zip(&scaled) {
+        *rate = k * *rate;
+    }
     Ok(Allocation::from_rates(rates))
 }
 

@@ -66,7 +66,7 @@ fn assert_compiled_matches_fresh<S: Scalar>(
         let bottlenecks: Vec<LinkId> = scratch
             .bottlenecks()
             .iter()
-            .map(|&d| instance.link_id(d))
+            .map(|&d| instance.link_id(d as usize))
             .collect();
         assert_eq!(bottlenecks, trace.bottleneck_of, "bottlenecks diverged");
     }
@@ -206,7 +206,7 @@ fn run_entries<S: Scalar>(
     for &i in order {
         let copies = if grouped { 1 } else { entries[i].1 };
         for _ in 0..copies {
-            per_entry[i].push((scratch.rates()[k], scratch.bottlenecks()[k]));
+            per_entry[i].push((scratch.rates()[k], scratch.bottlenecks()[k] as usize));
             k += 1;
         }
         if grouped {
@@ -430,7 +430,7 @@ fn compiled_fill<S: Scalar>(
     (
         scratch.rates().to_vec(),
         scratch.levels().to_vec(),
-        scratch.bottlenecks().to_vec(),
+        scratch.bottlenecks().iter().map(|&d| d as usize).collect(),
     )
 }
 

@@ -22,7 +22,7 @@
 //! engine flush, bit-identical to a per-flow recompute and checked against
 //! one in debug builds.
 
-use clos_churn::{ChurnConfig, ChurnEngine, FlowEvent, OnlinePolicy};
+use clos_churn::{ChurnConfig, ChurnEngine, FlowEvent, FlowKey, OnlinePolicy};
 use clos_net::{ClosNetwork, Flow};
 use clos_rational::TotalF64;
 use rand::rngs::StdRng;
@@ -141,7 +141,7 @@ pub struct FctStats {
 
 struct Active {
     /// Engine key: the flow's arrival sequence number.
-    key: u64,
+    key: FlowKey,
     /// Indices of the four links of the flow's path, fixed at arrival.
     links: [usize; 4],
     remaining: f64,
@@ -161,7 +161,7 @@ struct Active {
 struct Admission {
     /// Live keys in arrival order; keys are arrival sequence numbers, so
     /// appending on arrival keeps it sorted.
-    order: Vec<u64>,
+    order: Vec<FlowKey>,
     /// Index into the active list of each live key (indexed by key).
     slot: Vec<usize>,
     /// Whether an admitted flow holds the link.
@@ -181,7 +181,7 @@ impl Admission {
     }
 
     /// Records the arrival of the flow now at `active[index]`.
-    fn arrive(&mut self, key: u64, index: usize) {
+    fn arrive(&mut self, key: FlowKey, index: usize) {
         self.slot[key as usize] = index;
         self.stale_from = self.stale_from.min(self.order.len());
         self.order.push(key);
@@ -200,7 +200,7 @@ impl Admission {
     }
 
     /// Records that the flow with `key` moved to `active[index]`.
-    fn moved(&mut self, key: u64, index: usize) {
+    fn moved(&mut self, key: FlowKey, index: usize) {
         self.slot[key as usize] = index;
     }
 
@@ -331,6 +331,10 @@ fn simulate_arrivals(
     arrivals: &[Arrival],
     transport: Transport,
 ) -> (FctStats, Vec<FlowRecord>) {
+    assert!(
+        arrivals.len() <= FlowKey::MAX as usize,
+        "a run simulates fewer than 2^32 flows (engine keys are 32 bits)"
+    );
     // One engine per run, keyed by arrival sequence. It never flushes on
     // its own: fair sharing flushes before each rate read, scheduling only
     // uses its placements.
@@ -423,7 +427,8 @@ fn simulate_arrivals(
         if dt_arrival <= dt_complete && next_arrival < arrivals.len() {
             let (t, src, dst, size) = arrivals[next_arrival];
             debug_assert!(t <= now + EPS, "arrival handled at its timestamp");
-            let key = next_arrival as u64;
+            // Below `arrivals.len()`, which fits a key (checked above).
+            let key = next_arrival as FlowKey;
             next_arrival += 1;
             let flow = Flow::new(
                 clos.source(src / clos.hosts_per_tor(), src % clos.hosts_per_tor()),

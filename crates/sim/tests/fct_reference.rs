@@ -9,7 +9,7 @@
 //! change; these tests pin that it produces the same `FctStats` and the same
 //! records, in the same order, bit for bit, under both transports.
 
-use clos_churn::{ChurnConfig, ChurnEngine, FlowEvent, OnlinePolicy};
+use clos_churn::{ChurnConfig, ChurnEngine, FlowEvent, FlowKey, OnlinePolicy};
 use clos_net::{ClosNetwork, Flow};
 use clos_rational::TotalF64;
 use clos_sim::{simulate_fct_records, FctConfig, FctStats, FlowRecord, SizeDist, Transport};
@@ -40,7 +40,7 @@ fn sample(dist: SizeDist, rng: &mut StdRng) -> f64 {
 }
 
 struct Active {
-    key: u64,
+    key: FlowKey,
     flow: Flow,
     middle: usize,
     remaining: f64,
@@ -157,7 +157,7 @@ fn reference_records(
                 clos.source(src / clos.hosts_per_tor(), src % clos.hosts_per_tor()),
                 clos.destination(dst / clos.hosts_per_tor(), dst % clos.hosts_per_tor()),
             );
-            let key = seq as u64;
+            let key = seq as FlowKey;
             engine.apply(FlowEvent::Arrive { key, flow });
             let middle = engine.class_of(key).unwrap();
             active.push(Active {
